@@ -3,8 +3,7 @@
 // The registry serves
 //   * the fixed builtin designs (counter, moving_average, iir,
 //     first_difference, delay, seqdet, cascade) — byte-identical to what
-//     tools/builtin_designs produced before it became a shim over this
-//     registry — and
+//     the CLIs built before the registry existed — and
 //   * the parametric generators counter(N), delay_chain(D), fsm_wide(S),
 //     cascade(L), which open the scale axis: the same construction at any
 //     size, resolvable from a CLI flag, a serve job, or a bench sweep.
@@ -33,8 +32,8 @@
 
 namespace mrsc::scenario {
 
-/// A compiled design plus the analyzer-facing metadata. (tools::BuiltDesign
-/// is an alias of this struct; the registry is its single producer.)
+/// A compiled design plus the analyzer-facing metadata; the registry is its
+/// single producer.
 struct BuiltDesign {
   std::unique_ptr<core::ReactionNetwork> owned;
   core::ReactionNetwork* network = nullptr;

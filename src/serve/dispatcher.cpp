@@ -12,7 +12,6 @@
 #include "runtime/batch.hpp"
 #include "scenario/registry.hpp"
 #include "stress/campaign.hpp"
-#include "tools/builtin_designs.hpp"
 #include "verify/verify.hpp"
 
 namespace mrsc::serve {
@@ -320,8 +319,10 @@ DispatchResult run_sim(const JobRequest& request,
   compile::CompileOptions options;
   options.opt =
       request.opt == 1 ? compile::OptLevel::kO1 : compile::OptLevel::kO0;
-  const tools::BuiltDesign design =
-      tools::build_design(request.design, options);
+  const scenario::BuiltDesign design =
+      scenario::ScenarioRegistry::global()
+          .resolve(request.design, options)
+          .design;
 
   runtime::SimJob job;
   job.network = design.network;
@@ -443,8 +444,10 @@ DispatchResult run_lint_job(const JobRequest& request,
   compile::CompileOptions options;
   options.opt =
       request.opt == 1 ? compile::OptLevel::kO1 : compile::OptLevel::kO0;
-  const tools::BuiltDesign design =
-      tools::build_design(request.design, options);
+  const scenario::BuiltDesign design =
+      scenario::ScenarioRegistry::global()
+          .resolve(request.design, options)
+          .design;
   lint::LintInput input =
       lint::LintInput::from_design(*design.network, design.info,
                                    request.design);

@@ -47,10 +47,11 @@
 //   2  bad CLI usage: unknown flag, malformed value, unknown --species name
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compile/passes.hpp"
@@ -59,6 +60,7 @@
 #include "analysis/sweep.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/ensemble.hpp"
+#include "tools/flags.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -86,13 +88,8 @@ struct CliOptions {
   std::size_t retries = 0;  // extra attempts beyond the first
   bool opt = false;
   std::string json;
-  // Whether the user passed the flag explicitly; explicit flags beat the
-  // scenario's sim budget.
-  bool set_method = false;
-  bool set_t_end = false;
-  bool set_record = false;
-  bool set_omega = false;
-  bool set_seed = false;
+  // The flags the user gave; explicit flags beat the scenario's sim budget.
+  tools::GivenFlags given;
   // Compile report JSON from --opt, embedded in the --json output.
   std::string compile_json;
 };
@@ -109,133 +106,37 @@ void usage() {
       "       [--species A,B,C] [--retries N] [--opt] [--json PATH]\n");
 }
 
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(text.substr(start));
-      break;
-    }
-    out.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
-bool parse_double(const char* flag, const char* text, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_batch: %s: '%s' is not a number\n", flag,
-                 text);
-    return false;
-  }
-  return true;
-}
-
-bool parse_u64(const char* flag, const char* text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_batch: %s: '%s' is not a whole number\n", flag,
-                 text);
-    return false;
-  }
-  return true;
-}
-
-bool parse_double_list(const char* flag, const char* text,
-                       std::vector<double>& out) {
-  out.clear();
-  for (const std::string& item : split_commas(text)) {
-    double value = 0.0;
-    if (!parse_double(flag, item.c_str(), value)) return false;
-    out.push_back(value);
-  }
-  return true;
-}
-
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mrsc_batch: %s needs a value\n", argv[i]);
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const bool is_flag = std::strcmp(arg, "--opt") == 0;
-    const bool takes_value = !is_flag && arg[0] == '-' && arg[1] == '-';
-    const char* value = nullptr;
-    if (takes_value && !(value = need_value(i))) return false;
-    if (is_flag) {
-      options.opt = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--mode") == 0) {
-      options.mode = value;
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      std::uint64_t jobs = 0;
-      if (!parse_u64(arg, value, jobs)) return false;
-      options.jobs = static_cast<std::size_t>(jobs);
-    } else if (std::strcmp(arg, "--replicates") == 0) {
-      std::uint64_t replicates = 0;
-      if (!parse_u64(arg, value, replicates)) return false;
-      options.replicates = static_cast<std::size_t>(replicates);
-    } else if (std::strcmp(arg, "--timeout") == 0) {
-      if (!parse_double(arg, value, options.timeout)) return false;
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      if (!parse_u64(arg, value, options.seed)) return false;
-      options.set_seed = true;
-    } else if (std::strcmp(arg, "--t-end") == 0) {
-      if (!parse_double(arg, value, options.t_end)) return false;
-      options.set_t_end = true;
-    } else if (std::strcmp(arg, "--method") == 0) {
-      options.method = value;
-      options.set_method = true;
-    } else if (std::strcmp(arg, "--omega") == 0) {
-      if (!parse_double(arg, value, options.omega)) return false;
-      options.set_omega = true;
-    } else if (std::strcmp(arg, "--engine") == 0) {
-      options.engine = value;
-    } else if (std::strcmp(arg, "--record") == 0) {
-      if (!parse_double(arg, value, options.record)) return false;
-      options.set_record = true;
-    } else if (std::strcmp(arg, "--scenario") == 0) {
-      options.scenario = value;
-    } else if (std::strcmp(arg, "--tau") == 0) {
-      if (!parse_double(arg, value, options.tau)) return false;
-    } else if (std::strcmp(arg, "--dt") == 0) {
-      if (!parse_double(arg, value, options.dt)) return false;
-    } else if (std::strcmp(arg, "--ratios") == 0) {
-      if (!parse_double_list(arg, value, options.ratios)) return false;
-    } else if (std::strcmp(arg, "--jitters") == 0) {
-      if (!parse_double_list(arg, value, options.jitters)) return false;
-    } else if (std::strcmp(arg, "--species") == 0) {
-      options.species = split_commas(value);
-    } else if (std::strcmp(arg, "--retries") == 0) {
-      std::uint64_t retries = 0;
-      if (!parse_u64(arg, value, retries)) return false;
-      options.retries = static_cast<std::size_t>(retries);
-    } else if (std::strcmp(arg, "--json") == 0) {
-      options.json = value;
-    } else if (arg[0] == '-') {
-      std::fprintf(stderr, "mrsc_batch: unknown option %s\n", arg);
-      return false;
-    } else if (options.file.empty()) {
-      options.file = arg;
-    } else {
-      std::fprintf(stderr, "mrsc_batch: multiple input files\n");
-      return false;
-    }
+  std::vector<std::string> files;
+  std::optional<tools::GivenFlags> given = tools::parse_flags(
+      "mrsc_batch", argc, argv,
+      {{"--mode", &options.mode},
+       {"--jobs", &options.jobs},
+       {"--replicates", &options.replicates},
+       {"--timeout", &options.timeout},
+       {"--seed", &options.seed},
+       {"--t-end", &options.t_end},
+       {"--method", &options.method},
+       {"--omega", &options.omega},
+       {"--engine", &options.engine},
+       {"--record", &options.record},
+       {"--scenario", &options.scenario},
+       {"--tau", &options.tau},
+       {"--dt", &options.dt},
+       {"--ratios", &options.ratios},
+       {"--jitters", &options.jitters},
+       {"--species", &options.species},
+       {"--retries", &options.retries},
+       {"--opt", &options.opt},
+       {"--json", &options.json}},
+      &files);
+  if (!given) return false;
+  options.given = std::move(*given);
+  if (files.size() > 1) {
+    std::fprintf(stderr, "mrsc_batch: multiple input files\n");
+    return false;
   }
+  if (!files.empty()) options.file = files.front();
   if (options.file.empty() == options.scenario.empty()) {
     std::fprintf(stderr,
                  "mrsc_batch: give exactly one of FILE.crn or --scenario\n");
@@ -600,11 +501,14 @@ int main(int argc, char** argv) {
       network = std::move(*resolved.design.network);
       label = resolved.scenario.name;
       const scenario::SimBudget& budget = resolved.scenario.sim;
-      if (!cli.set_method && budget.method) cli.method = *budget.method;
-      if (!cli.set_t_end && budget.t_end) cli.t_end = *budget.t_end;
-      if (!cli.set_record && budget.record) cli.record = *budget.record;
-      if (!cli.set_omega && budget.omega) cli.omega = *budget.omega;
-      if (!cli.set_seed && budget.seed) cli.seed = *budget.seed;
+      const auto unset = [&](const char* flag) {
+        return !cli.given.contains(flag);
+      };
+      if (unset("--method") && budget.method) cli.method = *budget.method;
+      if (unset("--t-end") && budget.t_end) cli.t_end = *budget.t_end;
+      if (unset("--record") && budget.record) cli.record = *budget.record;
+      if (unset("--omega") && budget.omega) cli.omega = *budget.omega;
+      if (unset("--seed") && budget.seed) cli.seed = *budget.seed;
       std::printf("scenario %s: %zu species, %zu reactions\n", label.c_str(),
                   network.species_count(), network.reaction_count());
     } catch (const std::invalid_argument& error) {

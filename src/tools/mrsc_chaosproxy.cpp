@@ -25,13 +25,15 @@
 //   2  bad CLI usage
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "fleet/chaos_proxy.hpp"
+#include "tools/flags.hpp"
 
 namespace {
 
@@ -43,8 +45,9 @@ void handle_signal(int signum) { g_signal = signum; }
 
 struct CliOptions {
   fleet::Endpoint upstream;
+  std::uint64_t upstream_port = 0;
   std::string listen_host = "127.0.0.1";
-  std::uint16_t listen_port = 0;
+  std::uint64_t listen_port = 0;
   std::string port_file;
   std::uint64_t seed = 1;
   fleet::ChaosFaults faults;
@@ -59,89 +62,45 @@ void usage() {
       "       [--truncate X] [--blackhole X]\n");
 }
 
-bool parse_double(const char* flag, const char* text, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_chaosproxy: %s: '%s' is not a number\n", flag,
-                 text);
-    return false;
-  }
-  return true;
-}
-
-bool parse_u64(const char* flag, const char* text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_chaosproxy: %s: '%s' is not a whole number\n",
-                 flag, text);
-    return false;
-  }
-  return true;
-}
-
-bool parse_probability(const char* flag, const char* text, double& out) {
-  if (!parse_double(flag, text, out)) return false;
-  if (out < 0.0 || out > 1.0) {
-    std::fprintf(stderr, "mrsc_chaosproxy: %s must be in [0, 1]\n", flag);
-    return false;
-  }
-  return true;
-}
-
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mrsc_chaosproxy: %s needs a value\n", arg);
-      return false;
-    }
-    const char* value = argv[++i];
-    std::uint64_t number = 0;
-    if (std::strcmp(arg, "--upstream-port") == 0) {
-      if (!parse_u64(arg, value, number) || number == 0 || number > 65535) {
-        return false;
-      }
-      options.upstream.port = static_cast<std::uint16_t>(number);
-    } else if (std::strcmp(arg, "--upstream-host") == 0) {
-      options.upstream.host = value;
-    } else if (std::strcmp(arg, "--listen-host") == 0) {
-      options.listen_host = value;
-    } else if (std::strcmp(arg, "--listen-port") == 0) {
-      if (!parse_u64(arg, value, number) || number > 65535) return false;
-      options.listen_port = static_cast<std::uint16_t>(number);
-    } else if (std::strcmp(arg, "--port-file") == 0) {
-      options.port_file = value;
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      if (!parse_u64(arg, value, options.seed)) return false;
-    } else if (std::strcmp(arg, "--drop") == 0) {
-      if (!parse_probability(arg, value, options.faults.drop)) return false;
-    } else if (std::strcmp(arg, "--delay") == 0) {
-      if (!parse_probability(arg, value, options.faults.delay)) return false;
-    } else if (std::strcmp(arg, "--delay-ms") == 0) {
-      if (!parse_double(arg, value, options.faults.delay_ms)) return false;
-    } else if (std::strcmp(arg, "--truncate") == 0) {
-      if (!parse_probability(arg, value, options.faults.truncate)) {
-        return false;
-      }
-    } else if (std::strcmp(arg, "--blackhole") == 0) {
-      if (!parse_probability(arg, value, options.faults.blackhole)) {
-        return false;
-      }
-    } else {
-      std::fprintf(stderr, "mrsc_chaosproxy: unknown option %s\n", arg);
-      usage();
-      return false;
-    }
-  }
-  if (options.upstream.port == 0) {
+  std::optional<tools::GivenFlags> given = tools::parse_flags(
+      "mrsc_chaosproxy", argc, argv,
+      {{"--upstream-port", &options.upstream_port},
+       {"--upstream-host", &options.upstream.host},
+       {"--listen-host", &options.listen_host},
+       {"--listen-port", &options.listen_port},
+       {"--port-file", &options.port_file},
+       {"--seed", &options.seed},
+       {"--drop", &options.faults.drop},
+       {"--delay", &options.faults.delay},
+       {"--delay-ms", &options.faults.delay_ms},
+       {"--truncate", &options.faults.truncate},
+       {"--blackhole", &options.faults.blackhole}},
+      nullptr);
+  if (!given || !given->contains("--upstream-port")) {
     usage();
     return false;
+  }
+  if (options.upstream_port == 0 || options.upstream_port > 65535) {
+    std::fprintf(stderr,
+                 "mrsc_chaosproxy: --upstream-port must be 1..65535\n");
+    return false;
+  }
+  options.upstream.port = static_cast<std::uint16_t>(options.upstream_port);
+  if (options.listen_port > 65535) {
+    std::fprintf(stderr, "mrsc_chaosproxy: --listen-port must be 0..65535\n");
+    return false;
+  }
+  const std::pair<const char*, double> probabilities[] = {
+      {"--drop", options.faults.drop},
+      {"--delay", options.faults.delay},
+      {"--truncate", options.faults.truncate},
+      {"--blackhole", options.faults.blackhole}};
+  for (const auto& [flag, probability] : probabilities) {
+    if (probability < 0.0 || probability > 1.0) {
+      std::fprintf(stderr, "mrsc_chaosproxy: %s must be in [0, 1]\n", flag);
+      return false;
+    }
   }
   return true;
 }
@@ -153,7 +112,8 @@ int main(int argc, char** argv) {
   if (!parse_cli(argc, argv, cli)) return 2;
   try {
     fleet::ChaosProxy proxy(cli.upstream, cli.faults, cli.seed);
-    proxy.start(cli.listen_host, cli.listen_port);
+    proxy.start(cli.listen_host,
+                static_cast<std::uint16_t>(cli.listen_port));
     std::printf(
         "mrsc_chaosproxy: %s:%u -> %s:%u (seed=%llu drop=%.2f delay=%.2f "
         "truncate=%.2f blackhole=%.2f)\n",

@@ -7,7 +7,7 @@
 //   mrsc_compile --list-scenarios
 //
 //   --design NAME      compile a built-in design instead of a file (see
-//                      tools/builtin_designs.hpp for the list)
+//                      scenario/registry.hpp for the list)
 //   --scenario SPEC    compile a registry scenario: a design spec
 //                      ("counter", "cascade(3)") or a .mrsc scenario file
 //   --list-scenarios   print the scenario catalog (fixed designs, parametric
@@ -26,7 +26,6 @@
 //
 // Prints the per-pass table on stdout; exits nonzero on error.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
@@ -37,7 +36,8 @@
 #include "compile/report.hpp"
 #include "core/io.hpp"
 #include "lint/lint.hpp"
-#include "tools/builtin_designs.hpp"
+#include "scenario/registry.hpp"
+#include "tools/flags.hpp"
 
 namespace {
 
@@ -48,7 +48,7 @@ struct CliOptions {
   std::string design;
   std::string scenario;
   bool list_scenarios = false;
-  int opt = 1;
+  std::uint64_t opt = 1;
   std::vector<std::string> assume_zero;
   std::vector<std::string> roots;
   std::string json;
@@ -63,74 +63,32 @@ void usage() {
       "       [--opt 0|1] [--assume-zero A,B] [--roots A,B] [--json PATH]\n"
       "       [--out PATH] [--lint] [--list-scenarios]\n"
       "       designs: %s\n",
-      mrsc::tools::builtin_design_names());
-}
-
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) {
-      if (start < text.size()) out.push_back(text.substr(start));
-      break;
-    }
-    out.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
+      scenario::ScenarioRegistry::global().fixed_names_csv().c_str());
 }
 
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mrsc_compile: %s needs a value\n", argv[i]);
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (arg[0] != '-') {
-      if (!options.file.empty()) {
-        std::fprintf(stderr, "mrsc_compile: more than one input file\n");
-        return false;
-      }
-      options.file = arg;
-      continue;
-    }
-    if (std::strcmp(arg, "--lint") == 0) {
-      options.lint = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--list-scenarios") == 0) {
-      options.list_scenarios = true;
-      continue;
-    }
-    const char* value = need_value(i);
-    if (value == nullptr) return false;
-    if (std::strcmp(arg, "--design") == 0) {
-      options.design = value;
-    } else if (std::strcmp(arg, "--scenario") == 0) {
-      options.scenario = value;
-    } else if (std::strcmp(arg, "--opt") == 0) {
-      if (std::strcmp(value, "0") != 0 && std::strcmp(value, "1") != 0) {
-        std::fprintf(stderr, "mrsc_compile: --opt must be 0 or 1\n");
-        return false;
-      }
-      options.opt = value[0] - '0';
-    } else if (std::strcmp(arg, "--assume-zero") == 0) {
-      options.assume_zero = split_commas(value);
-    } else if (std::strcmp(arg, "--roots") == 0) {
-      options.roots = split_commas(value);
-    } else if (std::strcmp(arg, "--json") == 0) {
-      options.json = value;
-    } else if (std::strcmp(arg, "--out") == 0) {
-      options.out = value;
-    } else {
-      std::fprintf(stderr, "mrsc_compile: unknown option %s\n", arg);
-      return false;
-    }
+  std::vector<std::string> files;
+  if (!tools::parse_flags("mrsc_compile", argc, argv,
+                          {{"--design", &options.design},
+                           {"--scenario", &options.scenario},
+                           {"--opt", &options.opt},
+                           {"--assume-zero", &options.assume_zero},
+                           {"--roots", &options.roots},
+                           {"--json", &options.json},
+                           {"--out", &options.out},
+                           {"--lint", &options.lint},
+                           {"--list-scenarios", &options.list_scenarios}},
+                          &files)) {
+    return false;
+  }
+  if (files.size() > 1) {
+    std::fprintf(stderr, "mrsc_compile: more than one input file\n");
+    return false;
+  }
+  if (!files.empty()) options.file = files.front();
+  if (options.opt > 1) {
+    std::fprintf(stderr, "mrsc_compile: --opt must be 0 or 1\n");
+    return false;
   }
   if (options.list_scenarios) return true;
   const int sources = (options.file.empty() ? 0 : 1) +
@@ -186,7 +144,7 @@ int main(int argc, char** argv) {
     compile_options.assume_zero_inputs = cli.assume_zero;
     compile_options.report = &report;
 
-    tools::BuiltDesign compiled;
+    scenario::BuiltDesign compiled;
     if (!cli.scenario.empty()) {
       scenario::ResolvedScenario resolved;
       try {
@@ -200,7 +158,9 @@ int main(int argc, char** argv) {
       compiled = std::move(resolved.design);
     } else if (!cli.design.empty()) {
       report.design = cli.design;
-      compiled = tools::build_design(cli.design, compile_options);
+      compiled = scenario::ScenarioRegistry::global()
+                     .resolve(cli.design, compile_options)
+                     .design;
     } else {
       report.design = cli.file;
       compiled.owned = std::make_unique<core::ReactionNetwork>(
@@ -232,7 +192,7 @@ int main(int argc, char** argv) {
     std::printf("%s: %zu species / %zu reactions -> %zu species / %zu "
                 "reactions at -O%d\n",
                 report.design.c_str(), b.species, b.reactions, a.species,
-                a.reactions, cli.opt);
+                a.reactions, static_cast<int>(cli.opt));
 
     if (!cli.json.empty()) {
       std::ofstream out(cli.json);

@@ -37,13 +37,15 @@
 //   1  fleet-level failure (a slice exhausted its attempts, shard down)
 //   2  bad CLI usage (including specs the local registry rejects)
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fleet/fleet.hpp"
+#include "tools/flags.hpp"
 
 namespace {
 
@@ -54,6 +56,7 @@ struct CliOptions {
   std::string mode = "ensemble";
   fleet::EnsembleSpec ensemble;
   std::vector<double> omegas;
+  std::uint64_t opt = 0;
   std::string json;
 };
 
@@ -69,50 +72,9 @@ void usage() {
       "       [--concurrency N] [--json PATH]\n");
 }
 
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) {
-      if (start < text.size()) out.push_back(text.substr(start));
-      break;
-    }
-    out.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
-bool parse_double(const char* flag, const char* text, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_fleet: %s: '%s' is not a number\n", flag,
-                 text);
-    return false;
-  }
-  return true;
-}
-
-bool parse_u64(const char* flag, const char* text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_fleet: %s: '%s' is not a whole number\n",
-                 flag, text);
-    return false;
-  }
-  return true;
-}
-
-bool parse_shards(const std::string& list,
+bool parse_shards(const std::vector<std::string>& entries,
                   std::vector<fleet::Endpoint>& shards) {
-  for (const std::string& entry : split_commas(list)) {
+  for (const std::string& entry : entries) {
     fleet::Endpoint endpoint;
     std::string port_text = entry;
     const std::size_t colon = entry.rfind(':');
@@ -120,107 +82,71 @@ bool parse_shards(const std::string& list,
       endpoint.host = entry.substr(0, colon);
       port_text = entry.substr(colon + 1);
     }
-    std::uint64_t port = 0;
-    if (!parse_u64("--shards", port_text.c_str(), port) || port == 0 ||
-        port > 65535 || endpoint.host.empty()) {
+    const std::optional<std::uint64_t> port =
+        tools::parse_whole_number(port_text);
+    if (!port || *port == 0 || *port > 65535 || endpoint.host.empty()) {
       std::fprintf(stderr,
                    "mrsc_fleet: --shards entry '%s' must be PORT or "
                    "HOST:PORT\n",
                    entry.c_str());
       return false;
     }
-    endpoint.port = static_cast<std::uint16_t>(port);
+    endpoint.port = static_cast<std::uint16_t>(*port);
     shards.push_back(std::move(endpoint));
-  }
-  if (shards.empty()) {
-    std::fprintf(stderr, "mrsc_fleet: --shards must be non-empty\n");
-    return false;
   }
   return true;
 }
 
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  std::string omegas_text;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mrsc_fleet: %s needs a value\n", arg);
-      return false;
-    }
-    const char* value = argv[++i];
-    std::uint64_t number = 0;
-    if (std::strcmp(arg, "--shards") == 0) {
-      if (!parse_shards(value, options.fleet.shards)) return false;
-    } else if (std::strcmp(arg, "--mode") == 0) {
-      options.mode = value;
-    } else if (std::strcmp(arg, "--design") == 0) {
-      options.ensemble.design = value;
-    } else if (std::strcmp(arg, "--replicates") == 0) {
-      if (!parse_u64(arg, value, number) || number == 0) return false;
-      options.ensemble.replicates = static_cast<std::size_t>(number);
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      if (!parse_u64(arg, value, options.ensemble.base_seed)) return false;
-    } else if (std::strcmp(arg, "--method") == 0) {
-      options.ensemble.method = value;
-    } else if (std::strcmp(arg, "--t-end") == 0) {
-      if (!parse_double(arg, value, options.ensemble.t_end)) return false;
-    } else if (std::strcmp(arg, "--omega") == 0) {
-      if (!parse_double(arg, value, options.ensemble.omega)) return false;
-    } else if (std::strcmp(arg, "--omegas") == 0) {
-      omegas_text = value;
-    } else if (std::strcmp(arg, "--record") == 0) {
-      if (!parse_double(arg, value, options.ensemble.record)) return false;
-    } else if (std::strcmp(arg, "--opt") == 0) {
-      if (!parse_u64(arg, value, number) || number > 1) return false;
-      options.ensemble.opt = static_cast<int>(number);
-    } else if (std::strcmp(arg, "--timeout-ms") == 0) {
-      if (!parse_double(arg, value, options.fleet.request_timeout_ms)) {
-        return false;
-      }
-    } else if (std::strcmp(arg, "--attempts") == 0) {
-      if (!parse_u64(arg, value, number) || number == 0) return false;
-      options.fleet.max_attempts = static_cast<std::size_t>(number);
-    } else if (std::strcmp(arg, "--hedge-ms") == 0) {
-      if (!parse_double(arg, value, options.fleet.hedge_ms)) return false;
-    } else if (std::strcmp(arg, "--backoff-base-ms") == 0) {
-      if (!parse_double(arg, value, options.fleet.backoff.base_ms)) {
-        return false;
-      }
-    } else if (std::strcmp(arg, "--backoff-cap-ms") == 0) {
-      if (!parse_double(arg, value, options.fleet.backoff.cap_ms)) {
-        return false;
-      }
-    } else if (std::strcmp(arg, "--jitter-seed") == 0) {
-      if (!parse_u64(arg, value, options.fleet.backoff.jitter_seed)) {
-        return false;
-      }
-    } else if (std::strcmp(arg, "--concurrency") == 0) {
-      if (!parse_u64(arg, value, number)) return false;
-      options.fleet.concurrency = static_cast<std::size_t>(number);
-    } else if (std::strcmp(arg, "--json") == 0) {
-      options.json = value;
-    } else {
-      std::fprintf(stderr, "mrsc_fleet: unknown option %s\n", arg);
-      usage();
-      return false;
-    }
-  }
-  if (options.fleet.shards.empty()) {
+  std::vector<std::string> shards;
+  if (!tools::parse_flags(
+          "mrsc_fleet", argc, argv,
+          {{"--shards", &shards},
+           {"--mode", &options.mode},
+           {"--design", &options.ensemble.design},
+           {"--replicates", &options.ensemble.replicates},
+           {"--seed", &options.ensemble.base_seed},
+           {"--method", &options.ensemble.method},
+           {"--t-end", &options.ensemble.t_end},
+           {"--omega", &options.ensemble.omega},
+           {"--omegas", &options.omegas},
+           {"--record", &options.ensemble.record},
+           {"--opt", &options.opt},
+           {"--timeout-ms", &options.fleet.request_timeout_ms},
+           {"--attempts", &options.fleet.max_attempts},
+           {"--hedge-ms", &options.fleet.hedge_ms},
+           {"--backoff-base-ms", &options.fleet.backoff.base_ms},
+           {"--backoff-cap-ms", &options.fleet.backoff.cap_ms},
+           {"--jitter-seed", &options.fleet.backoff.jitter_seed},
+           {"--concurrency", &options.fleet.concurrency},
+           {"--json", &options.json}},
+          nullptr)) {
     usage();
     return false;
   }
+  if (shards.empty()) {
+    usage();
+    return false;
+  }
+  if (!parse_shards(shards, options.fleet.shards)) return false;
+  if (options.ensemble.replicates == 0) {
+    std::fprintf(stderr, "mrsc_fleet: --replicates must be >= 1\n");
+    return false;
+  }
+  if (options.fleet.max_attempts == 0) {
+    std::fprintf(stderr, "mrsc_fleet: --attempts must be >= 1\n");
+    return false;
+  }
+  if (options.opt > 1) {
+    std::fprintf(stderr, "mrsc_fleet: --opt must be 0 or 1\n");
+    return false;
+  }
+  options.ensemble.opt = static_cast<int>(options.opt);
   if (options.mode != "ensemble" && options.mode != "sweep" &&
       options.mode != "catalog" && options.mode != "drain") {
     std::fprintf(stderr,
                  "mrsc_fleet: --mode must be ensemble|sweep|catalog|drain\n");
     return false;
-  }
-  if (!omegas_text.empty()) {
-    for (const std::string& point : split_commas(omegas_text)) {
-      double omega = 0.0;
-      if (!parse_double("--omegas", point.c_str(), omega)) return false;
-      options.omegas.push_back(omega);
-    }
   }
   if (options.mode == "sweep" && options.omegas.empty()) {
     std::fprintf(stderr, "mrsc_fleet: sweep mode needs --omegas\n");

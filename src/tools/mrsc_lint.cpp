@@ -26,7 +26,6 @@
 //   1  at least one error (or, with --werror, warning) fired
 //   2  usage error / unknown design / unknown check
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -35,7 +34,7 @@
 #include "core/io.hpp"
 #include "lint/lint.hpp"
 #include "scenario/registry.hpp"
-#include "tools/builtin_designs.hpp"
+#include "tools/flags.hpp"
 
 namespace {
 
@@ -46,7 +45,7 @@ struct CliOptions {
   std::string design;
   std::string scenario;
   std::vector<std::string> roots;
-  int opt = 0;
+  std::uint64_t opt = 0;
   std::vector<std::string> checks;
   std::string json;
   bool werror = false;
@@ -60,7 +59,7 @@ void usage() {
                "       [--roots A,B] [--checks a,b] [--json PATH|-]\n"
                "       [--werror] [--quiet]\n"
                "       designs: %s\n",
-               tools::builtin_design_names());
+               scenario::ScenarioRegistry::global().fixed_names_csv().c_str());
   std::fprintf(stderr, "       checks:");
   for (const std::string& name : lint::check_names()) {
     std::fprintf(stderr, " %s", name.c_str());
@@ -68,65 +67,28 @@ void usage() {
   std::fprintf(stderr, "\n");
 }
 
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) {
-      if (start < text.size()) out.push_back(text.substr(start));
-      break;
-    }
-    out.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (arg[0] != '-') {
-      if (!options.file.empty()) {
-        std::fprintf(stderr, "mrsc_lint: more than one input file\n");
-        return false;
-      }
-      options.file = arg;
-      continue;
-    }
-    if (std::strcmp(arg, "--werror") == 0) {
-      options.werror = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--quiet") == 0) {
-      options.quiet = true;
-      continue;
-    }
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mrsc_lint: %s needs a value\n", arg);
-      return false;
-    }
-    const char* value = argv[++i];
-    if (std::strcmp(arg, "--design") == 0) {
-      options.design = value;
-    } else if (std::strcmp(arg, "--scenario") == 0) {
-      options.scenario = value;
-    } else if (std::strcmp(arg, "--opt") == 0) {
-      if (std::strcmp(value, "0") != 0 && std::strcmp(value, "1") != 0) {
-        std::fprintf(stderr, "mrsc_lint: --opt must be 0 or 1\n");
-        return false;
-      }
-      options.opt = value[0] - '0';
-    } else if (std::strcmp(arg, "--checks") == 0) {
-      options.checks = split_commas(value);
-    } else if (std::strcmp(arg, "--roots") == 0) {
-      options.roots = split_commas(value);
-    } else if (std::strcmp(arg, "--json") == 0) {
-      options.json = value;
-    } else {
-      std::fprintf(stderr, "mrsc_lint: unknown option %s\n", arg);
-      return false;
-    }
+  std::vector<std::string> files;
+  if (!tools::parse_flags("mrsc_lint", argc, argv,
+                          {{"--design", &options.design},
+                           {"--scenario", &options.scenario},
+                           {"--opt", &options.opt},
+                           {"--checks", &options.checks},
+                           {"--roots", &options.roots},
+                           {"--json", &options.json},
+                           {"--werror", &options.werror},
+                           {"--quiet", &options.quiet}},
+                          &files)) {
+    return false;
+  }
+  if (files.size() > 1) {
+    std::fprintf(stderr, "mrsc_lint: more than one input file\n");
+    return false;
+  }
+  if (!files.empty()) options.file = files.front();
+  if (options.opt > 1) {
+    std::fprintf(stderr, "mrsc_lint: --opt must be 0 or 1\n");
+    return false;
   }
   const int sources = (options.file.empty() ? 0 : 1) +
                       (options.design.empty() ? 0 : 1) +
@@ -162,8 +124,10 @@ lint::LintReport lint_one(const std::string& design_name,
   compile::CompileOptions compile_options;
   compile_options.opt =
       cli.opt == 0 ? compile::OptLevel::kO0 : compile::OptLevel::kO1;
-  const tools::BuiltDesign design =
-      tools::build_design(design_name, compile_options);
+  const scenario::BuiltDesign design =
+      scenario::ScenarioRegistry::global()
+          .resolve(design_name, compile_options)
+          .design;
 
   lint::LintInput input =
       lint::LintInput::from_design(*design.network, design.info, design_name);
@@ -235,15 +199,9 @@ int main(int argc, char** argv) {
       return report.clean(werror) ? 0 : 1;
     }
 
-    std::vector<std::string> designs;
-    if (cli.design == "all") {
-      designs = split_commas(tools::builtin_design_names());
-      for (std::string& name : designs) {
-        while (!name.empty() && name.front() == ' ') name.erase(0, 1);
-      }
-    } else {
-      designs.push_back(cli.design);
-    }
+    const std::vector<std::string> designs =
+        cli.design == "all" ? scenario::ScenarioRegistry::global().fixed_names()
+                            : std::vector<std::string>{cli.design};
 
     std::string json_out;
     if (designs.size() > 1) json_out += "[\n";

@@ -54,10 +54,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -66,6 +66,7 @@
 #include "scenario/registry.hpp"
 #include "serve/dispatcher.hpp"
 #include "serve/protocol.hpp"
+#include "tools/flags.hpp"
 
 namespace {
 
@@ -74,7 +75,7 @@ using Clock = std::chrono::steady_clock;
 
 struct CliOptions {
   std::string host = "127.0.0.1";
-  int port = -1;
+  std::uint64_t port = 0;
   double rate = 50.0;
   double duration = 2.0;
   std::size_t connections = 4;
@@ -96,93 +97,32 @@ void usage() {
       "       [--json PATH]\n");
 }
 
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) {
-      if (start < text.size()) out.push_back(text.substr(start));
-      break;
-    }
-    out.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
-bool parse_double(const char* flag, const char* text, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_loadgen: %s: '%s' is not a number\n", flag,
-                 text);
-    return false;
-  }
-  return true;
-}
-
-bool parse_u64(const char* flag, const char* text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_loadgen: %s: '%s' is not a whole number\n",
-                 flag, text);
-    return false;
-  }
-  return true;
-}
-
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mrsc_loadgen: %s needs a value\n", arg);
-      return false;
-    }
-    const char* value = argv[++i];
-    std::uint64_t number = 0;
-    if (std::strcmp(arg, "--host") == 0) {
-      options.host = value;
-    } else if (std::strcmp(arg, "--port") == 0) {
-      if (!parse_u64(arg, value, number) || number == 0 || number > 65535) {
-        std::fprintf(stderr, "mrsc_loadgen: --port must be 1..65535\n");
-        return false;
-      }
-      options.port = static_cast<int>(number);
-    } else if (std::strcmp(arg, "--rate") == 0) {
-      if (!parse_double(arg, value, options.rate)) return false;
-    } else if (std::strcmp(arg, "--duration") == 0) {
-      if (!parse_double(arg, value, options.duration)) return false;
-    } else if (std::strcmp(arg, "--connections") == 0) {
-      if (!parse_u64(arg, value, number) || number == 0) return false;
-      options.connections = static_cast<std::size_t>(number);
-    } else if (std::strcmp(arg, "--designs") == 0) {
-      options.designs = split_commas(value);
-    } else if (std::strcmp(arg, "--kinds") == 0) {
-      options.kinds = split_commas(value);
-    } else if (std::strcmp(arg, "--corpus") == 0) {
-      options.corpus_file = value;
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      if (!parse_u64(arg, value, options.seed)) return false;
-    } else if (std::strcmp(arg, "--t-end") == 0) {
-      if (!parse_double(arg, value, options.t_end)) return false;
-    } else if (std::strcmp(arg, "--omega") == 0) {
-      if (!parse_double(arg, value, options.omega)) return false;
-    } else if (std::strcmp(arg, "--json") == 0) {
-      options.json = value;
-    } else {
-      std::fprintf(stderr, "mrsc_loadgen: unknown option %s\n", arg);
-      usage();
-      return false;
-    }
-  }
-  if (options.port < 0) {
+  std::optional<tools::GivenFlags> given = tools::parse_flags(
+      "mrsc_loadgen", argc, argv,
+      {{"--host", &options.host},
+       {"--port", &options.port},
+       {"--rate", &options.rate},
+       {"--duration", &options.duration},
+       {"--connections", &options.connections},
+       {"--designs", &options.designs},
+       {"--kinds", &options.kinds},
+       {"--corpus", &options.corpus_file},
+       {"--seed", &options.seed},
+       {"--t-end", &options.t_end},
+       {"--omega", &options.omega},
+       {"--json", &options.json}},
+      nullptr);
+  if (!given || !given->contains("--port")) {
     usage();
+    return false;
+  }
+  if (options.port == 0 || options.port > 65535) {
+    std::fprintf(stderr, "mrsc_loadgen: --port must be 1..65535\n");
+    return false;
+  }
+  if (options.connections == 0) {
+    std::fprintf(stderr, "mrsc_loadgen: --connections must be >= 1\n");
     return false;
   }
   if (!(options.rate > 0.0) || !(options.duration > 0.0) ||

@@ -26,13 +26,13 @@
 //   2  bad CLI usage
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "serve/server.hpp"
+#include "tools/flags.hpp"
 
 namespace {
 
@@ -54,57 +54,32 @@ void usage() {
                "       [--max-conns N] [--shard-id S]\n");
 }
 
-bool parse_u64(const char* flag, const char* text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_serve: %s: '%s' is not a whole number\n", flag,
-                 text);
+bool parse_cli(int argc, char** argv, CliOptions& options) {
+  std::uint64_t port = 0;
+  std::uint64_t cache_mb = options.server.cache_bytes >> 20;
+  if (!tools::parse_flags("mrsc_serve", argc, argv,
+                          {{"--host", &options.server.host},
+                           {"--port", &port},
+                           {"--port-file", &options.port_file},
+                           {"--workers", &options.server.workers},
+                           {"--queue", &options.server.queue_capacity},
+                           {"--cache", &options.server.cache_entries},
+                           {"--cache-mb", &cache_mb},
+                           {"--max-conns", &options.server.max_connections},
+                           {"--shard-id", &options.server.shard_id}},
+                          nullptr)) {
+    usage();
     return false;
   }
-  return true;
-}
-
-bool parse_cli(int argc, char** argv, CliOptions& options) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mrsc_serve: %s needs a value\n", arg);
-      return false;
-    }
-    const char* value = argv[++i];
-    std::uint64_t number = 0;
-    if (std::strcmp(arg, "--host") == 0) {
-      options.server.host = value;
-    } else if (std::strcmp(arg, "--port") == 0) {
-      if (!parse_u64(arg, value, number) || number > 65535) return false;
-      options.server.port = static_cast<std::uint16_t>(number);
-    } else if (std::strcmp(arg, "--port-file") == 0) {
-      options.port_file = value;
-    } else if (std::strcmp(arg, "--workers") == 0) {
-      if (!parse_u64(arg, value, number)) return false;
-      options.server.workers = static_cast<std::size_t>(number);
-    } else if (std::strcmp(arg, "--queue") == 0) {
-      if (!parse_u64(arg, value, number)) return false;
-      options.server.queue_capacity = static_cast<std::size_t>(number);
-    } else if (std::strcmp(arg, "--cache") == 0) {
-      if (!parse_u64(arg, value, number)) return false;
-      options.server.cache_entries = static_cast<std::size_t>(number);
-    } else if (std::strcmp(arg, "--cache-mb") == 0) {
-      if (!parse_u64(arg, value, number)) return false;
-      options.server.cache_bytes = static_cast<std::size_t>(number) << 20;
-    } else if (std::strcmp(arg, "--max-conns") == 0) {
-      if (!parse_u64(arg, value, number) || number == 0) return false;
-      options.server.max_connections = static_cast<std::size_t>(number);
-    } else if (std::strcmp(arg, "--shard-id") == 0) {
-      options.server.shard_id = value;
-    } else {
-      std::fprintf(stderr, "mrsc_serve: unknown option %s\n", arg);
-      usage();
-      return false;
-    }
+  if (port > 65535) {
+    std::fprintf(stderr, "mrsc_serve: --port must be 0..65535\n");
+    return false;
+  }
+  options.server.port = static_cast<std::uint16_t>(port);
+  options.server.cache_bytes = static_cast<std::size_t>(cache_mb) << 20;
+  if (options.server.max_connections == 0) {
+    std::fprintf(stderr, "mrsc_serve: --max-conns must be >= 1\n");
+    return false;
   }
   return true;
 }

@@ -36,10 +36,11 @@
 //   2  bad CLI usage: unknown flag/method, malformed value, unknown species
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/conservation.hpp"
@@ -49,6 +50,7 @@
 #include "scenario/registry.hpp"
 #include "sim/ode.hpp"
 #include "sim/ssa.hpp"
+#include "tools/flags.hpp"
 
 namespace {
 
@@ -71,13 +73,8 @@ struct CliOptions {
   bool plot = false;
   bool laws = false;
   bool opt = false;
-  // Which knobs the user set explicitly — scenario @sim budgets only fill
-  // the ones they did not.
-  bool set_method = false;
-  bool set_t_end = false;
-  bool set_record = false;
-  bool set_omega = false;
-  bool set_seed = false;
+  // The flags the user gave; scenario @sim budgets fill only the others.
+  tools::GivenFlags given;
 };
 
 void usage() {
@@ -94,121 +91,36 @@ void usage() {
                scenario::ScenarioRegistry::global().fixed_names_csv().c_str());
 }
 
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(text.substr(start));
-      break;
-    }
-    out.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
-bool parse_double(const char* flag, const char* text, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_sim: %s: '%s' is not a number\n", flag, text);
-    return false;
-  }
-  return true;
-}
-
-bool parse_u64(const char* flag, const char* text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_sim: %s: '%s' is not a whole number\n", flag,
-                 text);
-    return false;
-  }
-  return true;
-}
-
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mrsc_sim: %s needs a value\n", argv[i]);
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--t-end") == 0) {
-      const char* v = need_value(i);
-      if (!v || !parse_double(arg, v, options.t_end)) return false;
-      options.set_t_end = true;
-    } else if (std::strcmp(arg, "--scenario") == 0) {
-      const char* v = need_value(i);
-      if (!v) return false;
-      options.scenario = v;
-    } else if (std::strcmp(arg, "--method") == 0) {
-      const char* v = need_value(i);
-      if (!v) return false;
-      options.method = v;
-      options.set_method = true;
-    } else if (std::strcmp(arg, "--dt") == 0) {
-      const char* v = need_value(i);
-      if (!v || !parse_double(arg, v, options.dt)) return false;
-    } else if (std::strcmp(arg, "--record") == 0) {
-      const char* v = need_value(i);
-      if (!v || !parse_double(arg, v, options.record)) return false;
-      options.set_record = true;
-    } else if (std::strcmp(arg, "--omega") == 0) {
-      const char* v = need_value(i);
-      if (!v || !parse_double(arg, v, options.omega)) return false;
-      options.set_omega = true;
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      const char* v = need_value(i);
-      if (!v || !parse_u64(arg, v, options.seed)) return false;
-      options.set_seed = true;
-    } else if (std::strcmp(arg, "--tau") == 0) {
-      const char* v = need_value(i);
-      if (!v || !parse_double(arg, v, options.tau)) return false;
-    } else if (std::strcmp(arg, "--max-events") == 0) {
-      const char* v = need_value(i);
-      if (!v || !parse_u64(arg, v, options.max_events)) return false;
-      if (options.max_events == 0) {
-        std::fprintf(stderr, "mrsc_sim: --max-events must be >= 1\n");
-        return false;
-      }
-    } else if (std::strcmp(arg, "--engine") == 0) {
-      const char* v = need_value(i);
-      if (!v) return false;
-      options.engine = v;
-    } else if (std::strcmp(arg, "--species") == 0) {
-      const char* v = need_value(i);
-      if (!v) return false;
-      options.species = split_commas(v);
-    } else if (std::strcmp(arg, "--csv") == 0) {
-      const char* v = need_value(i);
-      if (!v) return false;
-      options.csv = v;
-    } else if (std::strcmp(arg, "--plot") == 0) {
-      options.plot = true;
-    } else if (std::strcmp(arg, "--laws") == 0) {
-      options.laws = true;
-    } else if (std::strcmp(arg, "--opt") == 0) {
-      options.opt = true;
-    } else if (arg[0] == '-') {
-      std::fprintf(stderr, "mrsc_sim: unknown option %s\n", arg);
-      return false;
-    } else if (options.file.empty()) {
-      options.file = arg;
-    } else {
-      std::fprintf(stderr, "mrsc_sim: multiple input files\n");
-      return false;
-    }
+  std::vector<std::string> files;
+  std::optional<tools::GivenFlags> given = tools::parse_flags(
+      "mrsc_sim", argc, argv,
+      {{"--t-end", &options.t_end},
+       {"--scenario", &options.scenario},
+       {"--method", &options.method},
+       {"--dt", &options.dt},
+       {"--record", &options.record},
+       {"--omega", &options.omega},
+       {"--seed", &options.seed},
+       {"--tau", &options.tau},
+       {"--max-events", &options.max_events},
+       {"--engine", &options.engine},
+       {"--species", &options.species},
+       {"--csv", &options.csv},
+       {"--plot", &options.plot},
+       {"--laws", &options.laws},
+       {"--opt", &options.opt}},
+      &files);
+  if (!given) return false;
+  options.given = std::move(*given);
+  if (files.size() > 1) {
+    std::fprintf(stderr, "mrsc_sim: multiple input files\n");
+    return false;
+  }
+  if (!files.empty()) options.file = files.front();
+  if (options.given.contains("--max-events") && options.max_events == 0) {
+    std::fprintf(stderr, "mrsc_sim: --max-events must be >= 1\n");
+    return false;
   }
   if (options.file.empty() == options.scenario.empty()) {
     std::fprintf(stderr,
@@ -266,11 +178,14 @@ int main(int argc, char** argv) {
       network = std::move(*resolved.design.network);
       // Scenario budgets are defaults; explicit flags win.
       const scenario::SimBudget& budget = resolved.scenario.sim;
-      if (!cli.set_method && budget.method) cli.method = *budget.method;
-      if (!cli.set_t_end && budget.t_end) cli.t_end = *budget.t_end;
-      if (!cli.set_record && budget.record) cli.record = *budget.record;
-      if (!cli.set_omega && budget.omega) cli.omega = *budget.omega;
-      if (!cli.set_seed && budget.seed) cli.seed = *budget.seed;
+      const auto unset = [&](const char* flag) {
+        return !cli.given.contains(flag);
+      };
+      if (unset("--method") && budget.method) cli.method = *budget.method;
+      if (unset("--t-end") && budget.t_end) cli.t_end = *budget.t_end;
+      if (unset("--record") && budget.record) cli.record = *budget.record;
+      if (unset("--omega") && budget.omega) cli.omega = *budget.omega;
+      if (unset("--seed") && budget.seed) cli.seed = *budget.seed;
       std::printf("scenario %s: %zu species, %zu reactions\n",
                   resolved.scenario.name.c_str(), network.species_count(),
                   network.reaction_count());

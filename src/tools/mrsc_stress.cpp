@@ -31,13 +31,15 @@
 //   1  runtime failure while running the campaign
 //   2  bad CLI usage: unknown flag, design, fault kind, or malformed value
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scenario/registry.hpp"
 #include "stress/campaign.hpp"
+#include "tools/flags.hpp"
 
 namespace {
 
@@ -47,12 +49,9 @@ struct CliOptions {
   stress::CampaignConfig config;
   std::string scenario;
   bool json = false;
-  // Whether the user passed the flag explicitly; explicit flags beat the
-  // scenario's stress binding.
-  bool set_design = false;
-  bool set_fault = false;
-  bool set_intensities = false;
-  bool set_trials = false;
+  // The flags the user gave; explicit flags beat the scenario's stress
+  // binding.
+  tools::GivenFlags given;
 };
 
 void usage() {
@@ -67,142 +66,66 @@ void usage() {
       "       [--seed S] [--threads N] [--attempts N] [--json]\n");
 }
 
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(text.substr(start));
-      break;
-    }
-    out.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
-bool parse_double(const char* flag, const char* text, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_stress: %s: '%s' is not a number\n", flag,
-                 text);
-    return false;
-  }
-  return true;
-}
-
-bool parse_u64(const char* flag, const char* text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_stress: %s: '%s' is not a whole number\n",
-                 flag, text);
-    return false;
-  }
-  return true;
-}
-
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mrsc_stress: %s needs a value\n", argv[i]);
-      return nullptr;
+  std::string design;
+  std::string fault;
+  std::string category;
+  std::optional<tools::GivenFlags> given = tools::parse_flags(
+      "mrsc_stress", argc, argv,
+      {{"--json", &options.json},
+       {"--design", &design},
+       {"--scenario", &options.scenario},
+       {"--fault", &fault},
+       {"--category", &category},
+       {"--intensities", &options.config.intensities},
+       {"--trials", &options.config.trials},
+       {"--seed", &options.config.base_seed},
+       {"--threads", &options.config.threads},
+       {"--attempts", &options.config.max_attempts}},
+      nullptr);
+  if (!given) return false;
+  options.given = std::move(*given);
+  if (options.given.contains("--design")) {
+    const auto parsed = stress::parse_design(design);
+    if (!parsed) {
+      std::fprintf(stderr, "mrsc_stress: unknown design '%s'\n",
+                   design.c_str());
+      return false;
     }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--json") == 0) {
-      options.json = true;
-    } else if (std::strcmp(arg, "--design") == 0) {
-      const char* v = need_value(i);
-      if (!v) return false;
-      const auto design = stress::parse_design(v);
-      if (!design) {
-        std::fprintf(stderr, "mrsc_stress: unknown design '%s'\n", v);
-        return false;
-      }
-      options.config.design = *design;
-      options.set_design = true;
-    } else if (std::strcmp(arg, "--scenario") == 0) {
-      const char* v = need_value(i);
-      if (!v) return false;
-      options.scenario = v;
-    } else if (std::strcmp(arg, "--fault") == 0) {
-      const char* v = need_value(i);
-      if (!v) return false;
-      const auto fault = stress::parse_fault_kind(v);
-      if (!fault) {
-        std::fprintf(stderr, "mrsc_stress: unknown fault kind '%s'\n", v);
-        return false;
-      }
-      options.config.fault = *fault;
-      options.set_fault = true;
-    } else if (std::strcmp(arg, "--category") == 0) {
-      const char* v = need_value(i);
-      if (!v) return false;
-      if (std::strcmp(v, "fast") == 0) {
-        options.config.category = core::RateCategory::kFast;
-      } else if (std::strcmp(v, "slow") == 0) {
-        options.config.category = core::RateCategory::kSlow;
-      } else {
-        std::fprintf(stderr,
-                     "mrsc_stress: --category must be fast or slow\n");
-        return false;
-      }
-    } else if (std::strcmp(arg, "--intensities") == 0) {
-      const char* v = need_value(i);
-      if (!v) return false;
-      options.config.intensities.clear();
-      for (const std::string& item : split_commas(v)) {
-        double value = 0.0;
-        if (!parse_double(arg, item.c_str(), value)) return false;
-        if (value <= 0.0) {
-          std::fprintf(stderr, "mrsc_stress: --intensities must be > 0\n");
-          return false;
-        }
-        options.config.intensities.push_back(value);
-      }
-      options.set_intensities = true;
-    } else if (std::strcmp(arg, "--trials") == 0) {
-      const char* v = need_value(i);
-      std::uint64_t trials = 0;
-      if (!v || !parse_u64(arg, v, trials)) return false;
-      if (trials == 0) {
-        std::fprintf(stderr, "mrsc_stress: --trials must be >= 1\n");
-        return false;
-      }
-      options.config.trials = static_cast<std::size_t>(trials);
-      options.set_trials = true;
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      const char* v = need_value(i);
-      if (!v || !parse_u64(arg, v, options.config.base_seed)) return false;
-    } else if (std::strcmp(arg, "--threads") == 0) {
-      const char* v = need_value(i);
-      std::uint64_t threads = 0;
-      if (!v || !parse_u64(arg, v, threads)) return false;
-      options.config.threads = static_cast<std::size_t>(threads);
-    } else if (std::strcmp(arg, "--attempts") == 0) {
-      const char* v = need_value(i);
-      std::uint64_t attempts = 0;
-      if (!v || !parse_u64(arg, v, attempts)) return false;
-      if (attempts == 0) {
-        std::fprintf(stderr, "mrsc_stress: --attempts must be >= 1\n");
-        return false;
-      }
-      options.config.max_attempts = static_cast<std::size_t>(attempts);
-    } else {
-      std::fprintf(stderr, "mrsc_stress: unknown option %s\n", arg);
+    options.config.design = *parsed;
+  }
+  if (options.given.contains("--fault")) {
+    const auto parsed = stress::parse_fault_kind(fault);
+    if (!parsed) {
+      std::fprintf(stderr, "mrsc_stress: unknown fault kind '%s'\n",
+                   fault.c_str());
+      return false;
+    }
+    options.config.fault = *parsed;
+  }
+  if (options.given.contains("--category")) {
+    if (category != "fast" && category != "slow") {
+      std::fprintf(stderr, "mrsc_stress: --category must be fast or slow\n");
+      return false;
+    }
+    options.config.category = category == "fast" ? core::RateCategory::kFast
+                                                 : core::RateCategory::kSlow;
+  }
+  for (const double intensity : options.config.intensities) {
+    if (intensity <= 0.0) {
+      std::fprintf(stderr, "mrsc_stress: --intensities must be > 0\n");
       return false;
     }
   }
-  if (!options.scenario.empty() && options.set_design) {
+  if (options.config.trials == 0) {
+    std::fprintf(stderr, "mrsc_stress: --trials must be >= 1\n");
+    return false;
+  }
+  if (options.config.max_attempts == 0) {
+    std::fprintf(stderr, "mrsc_stress: --attempts must be >= 1\n");
+    return false;
+  }
+  if (!options.scenario.empty() && options.given.contains("--design")) {
     std::fprintf(stderr,
                  "mrsc_stress: --design and --scenario are mutually "
                  "exclusive\n");
@@ -248,7 +171,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       cli.config.design = *design;
-      if (!cli.set_fault && binding.fault) {
+      if (!cli.given.contains("--fault") && binding.fault) {
         const auto fault = stress::parse_fault_kind(binding.fault->c_str());
         if (!fault) {
           std::fprintf(stderr,
@@ -259,10 +182,11 @@ int main(int argc, char** argv) {
         }
         cli.config.fault = *fault;
       }
-      if (!cli.set_intensities && !binding.intensities.empty()) {
+      if (!cli.given.contains("--intensities") &&
+          !binding.intensities.empty()) {
         cli.config.intensities = binding.intensities;
       }
-      if (!cli.set_trials && binding.trials) {
+      if (!cli.given.contains("--trials") && binding.trials) {
         cli.config.trials = *binding.trials;
       }
     } catch (const std::invalid_argument& error) {

@@ -36,14 +36,16 @@
 //
 // Exits 0 on a clean sweep, 1 on violations, 2 on usage errors.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scenario/registry.hpp"
+#include "tools/flags.hpp"
 #include "verify/engine_equivalence.hpp"
 #include "verify/golden.hpp"
 #include "verify/verify.hpp"
@@ -59,10 +61,9 @@ struct CliOptions {
   std::string json;
   std::string regen_golden;
   bool verbose = false;
-  // Whether the user passed the flag explicitly; explicit flags beat the
-  // scenario's verify budget.
-  bool set_seeds = false;
-  bool set_start_seed = false;
+  // The flags the user gave; explicit flags beat the scenario's verify
+  // budget.
+  tools::GivenFlags given;
 };
 
 void usage() {
@@ -77,95 +78,35 @@ void usage() {
       "       kinds: raw,sync,dual,fsm,counter\n");
 }
 
-bool parse_double(const char* flag, const char* text, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_verify: %s: '%s' is not a number\n", flag,
-                 text);
-    return false;
-  }
-  return true;
-}
-
-bool parse_u64(const char* flag, const char* text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_verify: %s: '%s' is not a whole number\n",
-                 flag, text);
-    return false;
-  }
-  return true;
-}
-
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mrsc_verify: %s needs a value\n", argv[i]);
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const bool is_flag = std::strcmp(arg, "--no-shrink") == 0 ||
-                         std::strcmp(arg, "--no-differential") == 0 ||
-                         std::strcmp(arg, "--no-opt-equivalence") == 0 ||
-                         std::strcmp(arg, "--no-engine-equivalence") == 0 ||
-                         std::strcmp(arg, "--verbose") == 0;
-    const bool takes_value = !is_flag && arg[0] == '-' && arg[1] == '-';
-    const char* value = nullptr;
-    if (takes_value && !(value = need_value(i))) return false;
-    if (std::strcmp(arg, "--seeds") == 0) {
-      std::uint64_t seeds = 0;
-      if (!parse_u64(arg, value, seeds)) return false;
-      options.verify.seeds = static_cast<std::size_t>(seeds);
-      options.set_seeds = true;
-    } else if (std::strcmp(arg, "--start-seed") == 0) {
-      if (!parse_u64(arg, value, options.verify.start_seed)) return false;
-      options.set_start_seed = true;
-    } else if (std::strcmp(arg, "--scenario") == 0) {
-      options.scenario = value;
-    } else if (std::strcmp(arg, "--kinds") == 0) {
-      options.kinds_csv = value;
-    } else if (std::strcmp(arg, "--cycles") == 0) {
-      std::uint64_t cycles = 0;
-      if (!parse_u64(arg, value, cycles)) return false;
-      options.verify.generator.cycles = static_cast<std::size_t>(cycles);
-    } else if (std::strcmp(arg, "--replicates") == 0) {
-      std::uint64_t replicates = 0;
-      if (!parse_u64(arg, value, replicates)) return false;
-      options.verify.ssa_replicates = static_cast<std::size_t>(replicates);
-    } else if (std::strcmp(arg, "--omega") == 0) {
-      if (!parse_double(arg, value, options.verify.omega)) return false;
-    } else if (std::strcmp(arg, "--threads") == 0) {
-      std::uint64_t threads = 0;
-      if (!parse_u64(arg, value, threads)) return false;
-      options.verify.threads = static_cast<std::size_t>(threads);
-    } else if (std::strcmp(arg, "--no-shrink") == 0) {
-      options.verify.shrink = false;
-    } else if (std::strcmp(arg, "--no-differential") == 0) {
-      options.verify.differential = false;
-    } else if (std::strcmp(arg, "--no-opt-equivalence") == 0) {
-      options.verify.opt_equivalence = false;
-    } else if (std::strcmp(arg, "--no-engine-equivalence") == 0) {
-      options.verify.engine_equivalence = false;
-    } else if (std::strcmp(arg, "--verbose") == 0) {
-      options.verbose = true;
-    } else if (std::strcmp(arg, "--json") == 0) {
-      options.json = value;
-    } else if (std::strcmp(arg, "--regen-golden") == 0) {
-      options.regen_golden = value;
-    } else {
-      std::fprintf(stderr, "mrsc_verify: unknown option %s\n", arg);
-      return false;
-    }
-  }
+  bool no_shrink = false;
+  bool no_differential = false;
+  bool no_opt_equivalence = false;
+  bool no_engine_equivalence = false;
+  std::optional<tools::GivenFlags> given = tools::parse_flags(
+      "mrsc_verify", argc, argv,
+      {{"--seeds", &options.verify.seeds},
+       {"--start-seed", &options.verify.start_seed},
+       {"--scenario", &options.scenario},
+       {"--kinds", &options.kinds_csv},
+       {"--cycles", &options.verify.generator.cycles},
+       {"--replicates", &options.verify.ssa_replicates},
+       {"--omega", &options.verify.omega},
+       {"--threads", &options.verify.threads},
+       {"--no-shrink", &no_shrink},
+       {"--no-differential", &no_differential},
+       {"--no-opt-equivalence", &no_opt_equivalence},
+       {"--no-engine-equivalence", &no_engine_equivalence},
+       {"--verbose", &options.verbose},
+       {"--json", &options.json},
+       {"--regen-golden", &options.regen_golden}},
+      nullptr);
+  if (!given) return false;
+  options.given = std::move(*given);
+  if (no_shrink) options.verify.shrink = false;
+  if (no_differential) options.verify.differential = false;
+  if (no_opt_equivalence) options.verify.opt_equivalence = false;
+  if (no_engine_equivalence) options.verify.engine_equivalence = false;
   if (options.regen_golden.empty() && options.verify.seeds == 0) {
     std::fprintf(stderr, "mrsc_verify: --seeds must be >= 1\n");
     return false;
@@ -202,10 +143,12 @@ int run_scenario_verify(const CliOptions& cli) {
   }
   const scenario::VerifyBudget& budget = resolved.scenario.verify;
   const std::size_t seeds =
-      cli.set_seeds ? cli.verify.seeds
+      cli.given.contains("--seeds")
+          ? cli.verify.seeds
                     : static_cast<std::size_t>(budget.seeds.value_or(3));
   const std::uint64_t start_seed =
-      cli.set_start_seed ? cli.verify.start_seed : budget.start_seed.value_or(1);
+      cli.given.contains("--start-seed") ? cli.verify.start_seed
+                                          : budget.start_seed.value_or(1);
 
   verify::EngineEquivalenceOptions oracle;
   const scenario::SimBudget& sim = resolved.scenario.sim;

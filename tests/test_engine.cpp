@@ -30,13 +30,13 @@
 #include "core/builder.hpp"
 #include "core/network.hpp"
 #include "runtime/ensemble.hpp"
+#include "scenario/registry.hpp"
 #include "sim/engine/arena.hpp"
 #include "sim/engine/compiled_system.hpp"
 #include "sim/engine/engine.hpp"
 #include "sim/mass_action.hpp"
 #include "sim/ode.hpp"
 #include "sim/ssa.hpp"
-#include "tools/builtin_designs.hpp"
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
 #include "verify/engine_equivalence.hpp"
@@ -54,7 +54,8 @@ const std::vector<std::string> kBuiltinDesigns = {
     "delay",   "seqdet",         "cascade"};
 
 ReactionNetwork builtin_network(const std::string& name) {
-  tools::BuiltDesign design = tools::build_design(name, {});
+  const scenario::BuiltDesign design =
+      scenario::ScenarioRegistry::global().resolve(name).design;
   return *design.network;
 }
 

@@ -3,9 +3,9 @@
 //
 // The registry is the single resolver behind every CLI's --scenario flag and
 // the serve cache key, so these tests pin the contracts the rest of the
-// toolchain leans on: canonical spellings are stable, fixed names compile
-// byte-identically to the pre-registry builtin shim, and every validation
-// failure is a std::invalid_argument (the CLIs' exit-2 class).
+// toolchain leans on: canonical spellings are stable, resolution is
+// deterministic, and every validation failure is a std::invalid_argument
+// (the CLIs' exit-2 class).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -15,7 +15,6 @@
 #include "lint/lint.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/scenario.hpp"
-#include "tools/builtin_designs.hpp"
 
 namespace {
 
@@ -89,18 +88,6 @@ TEST(Registry, SmokeCatalogCoversEveryFamily) {
 }
 
 // --- resolution -------------------------------------------------------------
-
-TEST(Registry, FixedNamesMatchTheBuiltinShimByteForByte) {
-  const scenario::ScenarioRegistry& registry =
-      scenario::ScenarioRegistry::global();
-  for (const std::string& name : registry.fixed_names()) {
-    const scenario::ResolvedScenario resolved = registry.resolve(name);
-    const tools::BuiltDesign shim = tools::build_design(name, {});
-    EXPECT_EQ(core::serialize_network(*resolved.design.network),
-              core::serialize_network(*shim.network))
-        << name;
-  }
-}
 
 TEST(Registry, ResolutionIsDeterministic) {
   const scenario::ScenarioRegistry& registry =
