@@ -37,8 +37,8 @@ enum class JobKind : std::uint8_t { kSim, kVerify, kLint, kStress, kSleep };
 struct JobRequest {
   JobKind kind = JobKind::kSim;
 
-  // sim + lint + stress: design name. sim/lint use the builtin-design
-  // catalog (tools/builtin_designs.hpp); stress uses the campaign catalog.
+  // sim + lint + stress: design name. sim/lint resolve it as a scenario
+  // registry spec (scenario/registry.hpp); stress uses the campaign catalog.
   std::string design = "counter";
   std::uint64_t seed = 1;
   int opt = 0;  ///< compile pipeline level (0 or 1) for sim/lint

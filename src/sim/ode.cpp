@@ -1,7 +1,10 @@
 #include "sim/ode.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "sim/engine/arena.hpp"
@@ -22,6 +25,12 @@ bool has_non_finite(std::span<const double> x) {
     if (!std::isfinite(v)) return true;
   }
   return false;
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return std::ranges::equal(a, b, [](double p, double q) {
+    return std::bit_cast<std::uint64_t>(p) == std::bit_cast<std::uint64_t>(q);
+  });
 }
 
 /// Shared bookkeeping: recording, observers, stop checks.
@@ -168,12 +177,16 @@ OdeResult run_dp45(const System& system, const OdeOptions& options,
   std::vector<double> x_new(n);
   double t = 0.0;
   double h = std::min(options.dt, options.t_end);
+  // k1 = f(x) is still valid: x is unchanged since a rejected step, or it
+  // is the last step's x_new, whose f is k7 (first same as last).
+  bool have_k1 = false;
 
   while (t < options.t_end && result.steps_accepted < options.max_steps) {
     h = std::clamp(h, options.min_step, options.max_step);
     h = std::min(h, options.t_end - t);
 
-    system.rhs(x, k1);
+    if (!have_k1) system.rhs(x, k1);
+    have_k1 = true;
     for (std::size_t i = 0; i < n; ++i) tmp[i] = x[i] + h * kA21 * k1[i];
     system.rhs(tmp, k2);
     for (std::size_t i = 0; i < n; ++i) {
@@ -225,7 +238,12 @@ OdeResult run_dp45(const System& system, const OdeOptions& options,
       t += h;
       std::swap(x, x_new);
       ++result.steps_accepted;
+      // Clamping or an observer may change the state; k7 is f(x) only if
+      // they left every bit alone.
+      std::ranges::copy(x, tmp.begin());
       if (!ctx.accept(t, x)) break;
+      have_k1 = same_bits(x, tmp);
+      if (have_k1) std::swap(k1, k7);
     } else {
       ++result.steps_rejected;
     }
@@ -245,6 +263,13 @@ OdeResult run_dp45(const System& system, const OdeOptions& options,
   return result;
 }
 
+// Backward Euler solves F(z) = z - x - h f(z) = 0 at every step. A chord
+// pass runs first: it reuses the factorisation of I - hJ that the last full
+// Newton pass left behind, for as long as that shrinks the residual by
+// kChordContraction per iteration. Only when it stalls does the step pay for
+// a fresh Jacobian and LU on every iteration.
+constexpr double kChordContraction = 0.1;
+
 template <class System>
 OdeResult run_backward_euler(const System& system, const OdeOptions& options,
                              std::vector<double> x,
@@ -254,41 +279,77 @@ OdeResult run_backward_euler(const System& system, const OdeOptions& options,
   RunContext ctx(options, n, observers);
   ctx.record_initial(0.0, x);
 
-  std::vector<double> z(n), f(n), residual(n);
+  std::vector<double> z(n), f(n), residual(n), x_prev = x;
   util::Matrix jac(n, n), newton_matrix(n, n);
+  // The last factorisation of I - hJ and the h it was built for.
+  std::optional<util::LuFactorization> lu;
+  double lu_h = 0.0;
   double t = 0.0;
+
+  // Fills `residual` with F(z); returns max |F|.
+  const auto residual_norm = [&](double h) {
+    ++result.newton_iterations;
+    system.rhs(z, f);
+    double norm = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      residual[i] = z[i] - x[i] - h * f[i];
+      norm = std::max(norm, std::abs(residual[i]));
+    }
+    return norm;
+  };
+  const auto newton_update = [&] {
+    lu->solve_in_place(residual);
+    for (std::size_t i = 0; i < n; ++i) z[i] -= residual[i];
+    clamp_nonnegative(z);
+  };
 
   while (t < options.t_end && result.steps_accepted < options.max_steps) {
     const double h = std::min(options.dt, options.t_end - t);
-    // Newton iteration on F(z) = z - x - h f(z) = 0, warm-started at x.
-    z = x;
     bool converged = false;
-    for (std::uint32_t iter = 0; iter < options.newton_max_iters; ++iter) {
-      system.rhs(z, f);
-      double residual_norm = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        residual[i] = z[i] - x[i] - h * f[i];
-        residual_norm = std::max(residual_norm, std::abs(residual[i]));
-      }
-      if (residual_norm < options.newton_tol) {
-        converged = true;
-        break;
-      }
-      system.jacobian(z, jac);
-      newton_matrix.set_identity();
-      for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t c = 0; c < n; ++c) {
-          newton_matrix(r, c) -= h * jac(r, c);
-        }
-      }
-      const util::LuFactorization lu(newton_matrix);
-      lu.solve_in_place(residual);
-      for (std::size_t i = 0; i < n; ++i) z[i] -= residual[i];
+    if (lu && lu_h == h) {
+      // Chord pass from the linear predictor.
+      for (std::size_t i = 0; i < n; ++i) z[i] = x[i] + (x[i] - x_prev[i]);
       clamp_nonnegative(z);
+      double previous_norm = std::numeric_limits<double>::infinity();
+      for (std::uint32_t iter = 0; iter < options.newton_max_iters; ++iter) {
+        const double norm = residual_norm(h);
+        if (norm < options.newton_tol) {
+          // std::max skips NaN entries, so check z itself before trusting
+          // the norm; full Newton from x may still recover.
+          converged = !has_non_finite(z);
+          break;
+        }
+        if (!(norm <= kChordContraction * previous_norm)) break;
+        previous_norm = norm;
+        newton_update();
+      }
+    }
+    if (!converged) {
+      // Full Newton, warm-started at x, refactorising every iteration.
+      z = x;
+      for (std::uint32_t iter = 0; iter < options.newton_max_iters; ++iter) {
+        if (residual_norm(h) < options.newton_tol) {
+          converged = true;
+          break;
+        }
+        system.jacobian(z, jac);
+        ++result.jacobian_evaluations;
+        newton_matrix.set_identity();
+        for (std::size_t r = 0; r < n; ++r) {
+          for (std::size_t c = 0; c < n; ++c) {
+            newton_matrix(r, c) -= h * jac(r, c);
+          }
+        }
+        lu.emplace(newton_matrix);
+        lu_h = h;
+        newton_update();
+      }
     }
     if (!converged) {
       // Fall back to one explicit Euler step at this size; backward Euler's
       // L-stability is a convenience here, not a correctness requirement.
+      // The count tells the caller it happened.
+      ++result.newton_fallbacks;
       system.rhs(x, f);
       for (std::size_t i = 0; i < n; ++i) z[i] = x[i] + h * f[i];
     }
@@ -296,7 +357,8 @@ OdeResult run_backward_euler(const System& system, const OdeOptions& options,
       result.non_finite = true;
       break;  // x still holds the last finite state
     }
-    x = z;
+    std::swap(x_prev, x);
+    std::swap(x, z);
     t += h;
     ++result.steps_accepted;
     if (!ctx.accept(t, x)) break;

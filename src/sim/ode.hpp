@@ -5,9 +5,13 @@
 //  * kDormandPrince45   — adaptive embedded RK45 with PI step control; the
 //                         default. Handles the k_fast/k_slow stiffness of the
 //                         paper's networks up to ratios of ~1e4 efficiently.
-//  * kBackwardEuler     — semi-implicit with Newton iteration and the analytic
-//                         mass-action Jacobian; for extreme rate separations
+//  * kBackwardEuler     — implicit fixed-step; for extreme rate separations
 //                         (ratios of 1e5 and beyond) in the robustness sweeps.
+//                         Each step first tries chord iterations on the LU of
+//                         I - hJ cached from an earlier step, then falls back
+//                         to full Newton (fresh analytic mass-action Jacobian
+//                         and LU every iteration), then to one explicit Euler
+//                         step, which OdeResult counts.
 //
 // All integrators clamp tiny negative concentrations (integration noise) back
 // to zero, call observers after every accepted step, and record the
@@ -53,7 +57,9 @@ struct OdeOptions {
   /// Hard cap on accepted steps (guards against runaway stiff runs).
   std::size_t max_steps = 200'000'000;
 
-  // Newton controls for kBackwardEuler.
+  // Newton controls for kBackwardEuler. Each of its two passes (the chord
+  // pass on the cached LU, then full Newton) gets `newton_max_iters`
+  // residual evaluations to bring max |F| below `newton_tol`.
   std::uint32_t newton_max_iters = 12;
   double newton_tol = 1e-10;
 
@@ -77,6 +83,14 @@ struct OdeResult {
   /// above 1 (the controller could not shrink further). A nonzero count is
   /// the step-size-underflow failure signature the fallback ladder reacts to.
   std::size_t steps_forced = 0;
+  // kBackwardEuler only; zero for the other methods.
+  /// Residual evaluations over both Newton passes.
+  std::size_t newton_iterations = 0;
+  /// Jacobians evaluated, one per LU factorization.
+  std::size_t jacobian_evaluations = 0;
+  /// Steps where neither pass converged and an explicit Euler step was
+  /// taken instead.
+  std::size_t newton_fallbacks = 0;
   bool stopped_by_observer = false;
   bool hit_step_limit = false;
   /// The state left the finite domain (NaN/Inf). The run stops at the last

@@ -286,6 +286,13 @@ int main(int argc, char** argv) {
       std::printf("ODE (%s): %zu steps accepted, %zu rejected\n",
                   cli.method.c_str(), result.steps_accepted,
                   result.steps_rejected);
+      if (options.method == sim::OdeMethod::kBackwardEuler) {
+        std::printf(
+            "Newton (be): %zu iterations, %zu Jacobian evaluations, "
+            "%zu explicit-Euler fallbacks\n",
+            result.newton_iterations, result.jacobian_evaluations,
+            result.newton_fallbacks);
+      }
       trajectory = std::move(result.trajectory);
     } else if (cli.method == "ssa" || cli.method == "nrm" ||
                cli.method == "tau") {

@@ -40,11 +40,10 @@ double Matrix::frobenius_norm() const {
 }
 
 LuFactorization::LuFactorization(const Matrix& a)
-    : n_(a.rows()), lu_(a), pivot_(a.rows()) {
+    : n_(a.rows()), lu_(a), swaps_(a.rows()) {
   if (a.rows() != a.cols()) {
     throw std::invalid_argument("LuFactorization: matrix not square");
   }
-  for (std::size_t i = 0; i < n_; ++i) pivot_[i] = i;
 
   for (std::size_t col = 0; col < n_; ++col) {
     // Partial pivoting: pick the row with the largest magnitude in this
@@ -61,11 +60,11 @@ LuFactorization::LuFactorization(const Matrix& a)
     if (best_mag == 0.0) {
       throw std::runtime_error("LuFactorization: singular matrix");
     }
+    swaps_[col] = best;
     if (best != col) {
       for (std::size_t c = 0; c < n_; ++c) {
         std::swap(lu_(best, c), lu_(col, c));
       }
-      std::swap(pivot_[best], pivot_[col]);
       pivot_sign_ = -pivot_sign_;
     }
     const double inv_pivot = 1.0 / lu_(col, col);
@@ -90,22 +89,22 @@ void LuFactorization::solve_in_place(std::span<double> b) const {
   if (b.size() != n_) {
     throw std::invalid_argument("LuFactorization::solve: dimension mismatch");
   }
-  // Apply the row permutation.
-  std::vector<double> y(n_);
-  for (std::size_t i = 0; i < n_; ++i) y[i] = b[pivot_[i]];
+  // Replay the row swaps of the factorization, in order.
+  for (std::size_t i = 0; i < n_; ++i) std::swap(b[i], b[swaps_[i]]);
   // Forward substitution (L has unit diagonal).
   for (std::size_t i = 0; i < n_; ++i) {
-    double acc = y[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= lu_(i, j) * y[j];
-    y[i] = acc;
+    const double* row = lu_.data().data() + i * n_;
+    double acc = b[i];
+    for (std::size_t j = 0; j < i; ++j) acc -= row[j] * b[j];
+    b[i] = acc;
   }
   // Back substitution.
   for (std::size_t ii = n_; ii-- > 0;) {
-    double acc = y[ii];
-    for (std::size_t j = ii + 1; j < n_; ++j) acc -= lu_(ii, j) * y[j];
-    y[ii] = acc / lu_(ii, ii);
+    const double* row = lu_.data().data() + ii * n_;
+    double acc = b[ii];
+    for (std::size_t j = ii + 1; j < n_; ++j) acc -= row[j] * b[j];
+    b[ii] = acc / row[ii];
   }
-  std::ranges::copy(y, b.begin());
 }
 
 double LuFactorization::determinant() const {

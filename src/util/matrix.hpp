@@ -1,9 +1,11 @@
 // Small dense-matrix linear algebra.
 //
-// The semi-implicit ODE integrator solves (I - h*J) dx = f at every step,
-// where J is the mass-action Jacobian. Networks in this library are modest
-// (tens to a few hundred species), so a dense LU factorization with partial
-// pivoting is the right tool; no external BLAS/LAPACK dependency is needed.
+// The backward Euler integrator solves (I - h*J) dx = F in its Newton
+// iterations, where J is the mass-action Jacobian; it factorizes I - h*J
+// once and reuses the factorization for many solves across steps. Networks
+// in this library are modest (tens to a few hundred species), so a dense LU
+// factorization with partial pivoting is the right tool; no external
+// BLAS/LAPACK dependency is needed.
 #pragma once
 
 #include <cstddef>
@@ -62,7 +64,7 @@ class LuFactorization {
   /// Solves `A x = b`; returns x. `b.size()` must equal the matrix dimension.
   [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;
 
-  /// Solves in place.
+  /// Solves in place; allocates nothing.
   void solve_in_place(std::span<double> b) const;
 
   [[nodiscard]] std::size_t dimension() const { return n_; }
@@ -73,7 +75,8 @@ class LuFactorization {
  private:
   std::size_t n_ = 0;
   Matrix lu_;
-  std::vector<std::size_t> pivot_;
+  /// Row swapped with row i at elimination step i (LAPACK's ipiv).
+  std::vector<std::size_t> swaps_;
   int pivot_sign_ = 1;
 };
 

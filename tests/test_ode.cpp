@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <variant>
+#include <vector>
 
+#include "analysis/harness.hpp"
 #include "core/builder.hpp"
+#include "scenario/registry.hpp"
+#include "sim/engine/compiled_system.hpp"
+#include "util/matrix.hpp"
 
 namespace mrsc::sim {
 namespace {
@@ -175,6 +184,39 @@ TEST(OdeSimulation, ObserverInjectionChangesState) {
   EXPECT_GT(result.trajectory.final_value(a), 4.0);
 }
 
+TEST(OdeSimulation, AdaptiveStepSeesInjectedState) {
+  // dp45 reuses its last stage as the next step's first one. After an
+  // observer changes the state it must evaluate f afresh, or the step after
+  // the injection integrates with the old slope.
+  class AddOnce : public Observer {
+   public:
+    explicit AddOnce(SpeciesId species) : index_(species.value()) {}
+    void on_step(double t, std::span<double> state) override {
+      if (t_added < 0.0 && t >= 1.0) {
+        state[index_] += 1.0;
+        t_added = t;
+      }
+    }
+    double t_added = -1.0;
+
+   private:
+    std::size_t index_;
+  };
+  const ReactionNetwork net = decay_network(1.0);
+  const SpeciesId a = *net.find_species("A");
+  AddOnce add(a);
+  Observer* observers[] = {&add};
+  OdeOptions options;
+  options.t_end = 3.0;
+  const OdeResult result = simulate_ode(
+      net, options, net.initial_state(),
+      std::span<Observer* const>(observers, 1));
+  ASSERT_GE(add.t_added, 1.0);
+  const double expected =
+      std::exp(-options.t_end) + std::exp(add.t_added - options.t_end);
+  EXPECT_NEAR(result.trajectory.final_value(a), expected, 1e-6);
+}
+
 TEST(OdeSimulation, ObserverCanStopEarly) {
   const ReactionNetwork net = decay_network(1.0);
   SteadyStateDetector detector(1e-6, 0.5);
@@ -253,6 +295,187 @@ TEST(OdeSimulation, FinalStateRecordedAtTEnd) {
   const OdeResult result = simulate_ode(net, options);
   EXPECT_DOUBLE_EQ(result.trajectory.final_time(), result.end_time);
   EXPECT_NEAR(result.end_time, 2.0, 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// Backward Euler against a reference solver.
+//
+// The stepper runs a chord pass on a cached factorisation before it falls
+// back to full Newton, so its steps converge to different points inside
+// newton_tol than a pure full-Newton solver would. The reference below is
+// that pure solver: a fresh Jacobian and LU on every iteration,
+// warm-started at x, with the same explicit Euler fallback. Differences
+// must stay within a tolerance; they are never absorbed into regenerated
+// goldens.
+
+struct ReferenceRun {
+  std::vector<double> state;
+  std::size_t steps = 0;
+  std::size_t fallbacks = 0;
+};
+
+ReferenceRun reference_backward_euler(const CompiledSystem& system,
+                                      const OdeOptions& options,
+                                      std::vector<double> x) {
+  const std::size_t n = system.species_count();
+  std::vector<double> z(n), f(n), residual(n);
+  util::Matrix jac(n, n), newton_matrix(n, n);
+  ReferenceRun run;
+  double t = 0.0;
+  while (t < options.t_end && run.steps < options.max_steps) {
+    const double h = std::min(options.dt, options.t_end - t);
+    z = x;
+    bool converged = false;
+    for (std::uint32_t iter = 0; iter < options.newton_max_iters; ++iter) {
+      system.rhs(z, f);
+      double residual_norm = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        residual[i] = z[i] - x[i] - h * f[i];
+        residual_norm = std::max(residual_norm, std::abs(residual[i]));
+      }
+      if (residual_norm < options.newton_tol) {
+        converged = true;
+        break;
+      }
+      system.jacobian(z, jac);
+      newton_matrix.set_identity();
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < n; ++c) {
+          newton_matrix(r, c) -= h * jac(r, c);
+        }
+      }
+      const util::LuFactorization lu(newton_matrix);
+      lu.solve_in_place(residual);
+      for (std::size_t i = 0; i < n; ++i) {
+        z[i] = std::max(z[i] - residual[i], 0.0);
+      }
+    }
+    if (!converged) {
+      ++run.fallbacks;
+      system.rhs(x, f);
+      for (std::size_t i = 0; i < n; ++i) z[i] = x[i] + h * f[i];
+    }
+    for (std::size_t i = 0; i < n; ++i) x[i] = std::max(z[i], 0.0);
+    t += h;
+    ++run.steps;
+  }
+  run.state = std::move(x);
+  return run;
+}
+
+OdeOptions backward_euler_options(double dt, double t_end) {
+  OdeOptions options;
+  options.method = OdeMethod::kBackwardEuler;
+  options.dt = dt;
+  options.t_end = t_end;
+  return options;
+}
+
+class BackwardEulerOracle : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(BackwardEulerOracle, MatchesFullNewtonReference) {
+  const scenario::ResolvedScenario resolved =
+      scenario::ScenarioRegistry::global().resolve(GetParam());
+  const ReactionNetwork& net = *resolved.design.network;
+  const CompiledSystem system(net);
+  const OdeOptions options = backward_euler_options(0.01, 20.0);
+
+  const OdeResult result =
+      simulate_ode(system, options, net.initial_state());
+  const ReferenceRun reference =
+      reference_backward_euler(system, options, net.initial_state());
+
+  EXPECT_EQ(result.steps_accepted, reference.steps);
+  EXPECT_LE(result.newton_fallbacks, reference.fallbacks);
+  const std::span<const double> state = result.trajectory.final_state();
+  ASSERT_EQ(state.size(), reference.state.size());
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    EXPECT_NEAR(state[i], reference.state[i], 1e-6)
+        << net.species_name(SpeciesId{
+               static_cast<SpeciesId::underlying_type>(i)});
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Designs, BackwardEulerOracle,
+                         ::testing::Values("counter(4)", "cascade(3)",
+                                           "delay_chain(4)"));
+
+TEST(BackwardEuler, EnginesAgreeBitwise) {
+  // The cached factorisation is state the stepper carries across steps;
+  // both engines must still drive it through identical bits.
+  const scenario::ResolvedScenario resolved =
+      scenario::ScenarioRegistry::global().resolve("counter(4)");
+  OdeOptions options = backward_euler_options(0.01, 20.0);
+  options.engine.kind = EngineKind::kCompiled;
+  const OdeResult compiled = simulate_ode(*resolved.design.network, options);
+  options.engine.kind = EngineKind::kLegacy;
+  const OdeResult legacy = simulate_ode(*resolved.design.network, options);
+
+  EXPECT_EQ(compiled.newton_iterations, legacy.newton_iterations);
+  EXPECT_EQ(compiled.jacobian_evaluations, legacy.jacobian_evaluations);
+  ASSERT_EQ(compiled.trajectory.sample_count(),
+            legacy.trajectory.sample_count());
+  for (std::size_t k = 0; k < compiled.trajectory.sample_count(); ++k) {
+    const std::span<const double> a = compiled.trajectory.state(k);
+    const std::span<const double> b = legacy.trajectory.state(k);
+    ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0)
+        << "sample " << k;
+  }
+}
+
+analysis::CounterRunResult run_registry_counter(const std::string& spec,
+                                                OdeMethod method,
+                                                std::size_t increments) {
+  const scenario::ResolvedScenario resolved =
+      scenario::ScenarioRegistry::global().resolve(spec);
+  const ReactionNetwork& net = *resolved.design.network;
+  const auto& artifacts =
+      std::get<scenario::CounterArtifacts>(resolved.artifacts);
+  analysis::ClockedRunOptions options;
+  options.ode.method = method;
+  if (method == OdeMethod::kBackwardEuler) options.ode.dt = 0.01;
+  options.ode.t_end = analysis::suggest_t_end(
+      artifacts.spec.clock, net.rate_policy(), increments);
+  return analysis::run_counter(net, artifacts.handles, increments, options);
+}
+
+TEST(BackwardEuler, DecodesTheSameCounterValuesAsDp45) {
+  const auto be =
+      run_registry_counter("counter(4)", OdeMethod::kBackwardEuler, 8);
+  const auto dp45 =
+      run_registry_counter("counter(4)", OdeMethod::kDormandPrince45, 8);
+  ASSERT_EQ(be.values.size(), 8u);
+  EXPECT_EQ(be.values, dp45.values);
+}
+
+TEST(BackwardEuler, CountsExplicitEulerFallbacks) {
+  // At dt = 5 Newton fails on two of the 40 steps of the fixed counter
+  // design, as the full-Newton reference does.
+  const scenario::ResolvedScenario resolved =
+      scenario::ScenarioRegistry::global().resolve("counter");
+  const ReactionNetwork& net = *resolved.design.network;
+  const CompiledSystem system(net);
+  const OdeOptions options = backward_euler_options(5.0, 200.0);
+
+  const OdeResult result =
+      simulate_ode(system, options, net.initial_state());
+  const ReferenceRun reference =
+      reference_backward_euler(system, options, net.initial_state());
+
+  EXPECT_EQ(result.steps_accepted, 40u);
+  EXPECT_EQ(result.newton_fallbacks, 2u);
+  EXPECT_LE(result.newton_fallbacks, reference.fallbacks);
+  EXPECT_GT(result.newton_iterations, result.steps_accepted);
+  EXPECT_GT(result.jacobian_evaluations, 0u);
+}
+
+TEST(BackwardEuler, ReusesItsFactorisationAcrossSteps) {
+  const auto run =
+      run_registry_counter("counter(6)", OdeMethod::kBackwardEuler, 4);
+  ASSERT_EQ(run.values.size(), 4u);
+  EXPECT_EQ(run.ode.newton_fallbacks, 0u);
+  EXPECT_GT(run.ode.jacobian_evaluations, 0u);
+  EXPECT_LE(run.ode.jacobian_evaluations, run.ode.steps_accepted / 8);
 }
 
 }  // namespace
