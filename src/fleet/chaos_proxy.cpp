@@ -12,35 +12,29 @@ namespace mrsc::fleet {
 
 namespace {
 
-/// Cut the downstream relay after this many bytes: 4-byte header + 2
+/// Cut a truncated response after this many bytes: 4-byte header + 2
 /// payload bytes, guaranteed mid-frame for any non-empty response.
 constexpr std::size_t kTruncateAfterBytes = 6;
 
-/// Relays bytes fd_from → fd_to until EOF/error. `budget` caps the bytes
-/// forwarded (SIZE_MAX = unlimited); once spent, both directions die with
-/// the connection. Returns on any terminal condition.
-void pump_bytes(int fd_from, int fd_to, std::size_t budget) {
-  char chunk[16384];
-  while (budget > 0) {
-    const ssize_t n = ::recv(fd_from, chunk, sizeof chunk, 0);
-    if (n == 0) return;
-    if (n < 0) {
-      if (errno == EINTR) continue;
+/// Sends the first `count` bytes of `response`'s frame, then stops.
+void send_frame_prefix(int fd, const std::string& response,
+                       std::size_t count) {
+  const auto length = static_cast<std::uint32_t>(response.size());
+  std::string frame = {static_cast<char>(length >> 24),
+                       static_cast<char>(length >> 16),
+                       static_cast<char>(length >> 8),
+                       static_cast<char>(length)};
+  frame += response;
+  if (count > frame.size()) count = frame.size();
+  std::size_t sent = 0;
+  while (sent < count) {
+    const ssize_t w = ::send(fd, frame.data() + sent, count - sent,
+                             MSG_NOSIGNAL);
+    if (w <= 0) {
+      if (w < 0 && errno == EINTR) continue;
       return;
     }
-    std::size_t send_bytes = static_cast<std::size_t>(n);
-    if (send_bytes > budget) send_bytes = budget;
-    std::size_t sent = 0;
-    while (sent < send_bytes) {
-      const ssize_t w = ::send(fd_to, chunk + sent, send_bytes - sent,
-                               MSG_NOSIGNAL);
-      if (w <= 0) {
-        if (w < 0 && errno == EINTR) continue;
-        return;
-      }
-      sent += static_cast<std::size_t>(w);
-    }
-    budget -= send_bytes;
+    sent += static_cast<std::size_t>(w);
   }
 }
 
@@ -90,8 +84,7 @@ FaultKind decide_fault(const ChaosFaults& faults, std::uint64_t seed,
 struct ChaosProxy::Link {
   serve::Socket client;
   serve::Socket upstream;
-  std::thread forward;  ///< client → upstream
-  std::thread reverse;  ///< upstream → client (faults apply here)
+  std::thread thread;  ///< relays request/response pairs; faults apply here
   std::atomic<bool> done{false};
 };
 
@@ -124,8 +117,7 @@ void ChaosProxy::stop() {
   listener_.close();
   std::lock_guard lock(links_mutex_);
   for (const auto& link : links_) {
-    if (link->forward.joinable()) link->forward.join();
-    if (link->reverse.joinable()) link->reverse.join();
+    if (link->thread.joinable()) link->thread.join();
   }
   links_.clear();
 }
@@ -134,70 +126,70 @@ void ChaosProxy::accept_loop() {
   while (!stopping_.load()) {
     serve::Socket accepted = serve::accept_on(listener_.fd());
     if (!accepted.valid()) break;  // listener shut down
-    const std::uint64_t index = connections_.fetch_add(1);
-    const FaultKind fault = decide_fault(faults_, seed_, index);
-    if (fault == FaultKind::kDrop) continue;  // closes on scope exit
+    connections_.fetch_add(1);
 
     auto link = std::make_unique<Link>();
     link->client = std::move(accepted);
-    if (fault != FaultKind::kBlackhole) {
-      try {
-        link->upstream = serve::connect_to(upstream_.host, upstream_.port);
-      } catch (const std::exception&) {
-        continue;  // upstream gone: behaves like a drop
-      }
+    try {
+      link->upstream = serve::connect_to(upstream_.host, upstream_.port);
+    } catch (const std::exception&) {
+      continue;  // upstream gone: the client sees its connection close
     }
-    Link* raw = link.get();
-    raw->forward = std::thread([raw, fault] {
-      if (fault == FaultKind::kBlackhole) {
-        drain_bytes(raw->client.fd());
-      } else {
-        pump_bytes(raw->client.fd(), raw->upstream.fd(), SIZE_MAX);
-        raw->upstream.shutdown_both();
-      }
-    });
-    raw->reverse = std::thread([this, raw, fault] { relay(*raw, fault); });
 
     std::lock_guard lock(links_mutex_);
+    // stop() shuts down the links it sees under this lock after raising
+    // stopping_; a link published later would never be woken.
+    if (stopping_.load()) break;
     // Reap finished links so a long-lived proxy does not accumulate
     // joined-out threads.
     for (auto it = links_.begin(); it != links_.end();) {
       if ((*it)->done.load()) {
-        if ((*it)->forward.joinable()) (*it)->forward.join();
-        if ((*it)->reverse.joinable()) (*it)->reverse.join();
+        if ((*it)->thread.joinable()) (*it)->thread.join();
         it = links_.erase(it);
       } else {
         ++it;
       }
     }
+    Link* raw = link.get();
+    raw->thread = std::thread([this, raw] { relay(*raw); });
     links_.push_back(std::move(link));
   }
 }
 
-void ChaosProxy::relay(Link& link, FaultKind fault) {
-  switch (fault) {
-    case FaultKind::kBlackhole:
-      // Nothing ever flows back; the forward thread owns the drain. Park
-      // until stop() shuts the sockets down.
-      break;
-    case FaultKind::kDelay:
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(faults_.delay_ms));
-      pump_bytes(link.upstream.fd(), link.client.fd(), SIZE_MAX);
-      link.client.shutdown_both();
-      break;
-    case FaultKind::kTruncate:
-      pump_bytes(link.upstream.fd(), link.client.fd(), kTruncateAfterBytes);
-      link.client.shutdown_both();
-      link.upstream.shutdown_both();
-      break;
-    case FaultKind::kClean:
-    case FaultKind::kDrop:
-      pump_bytes(link.upstream.fd(), link.client.fd(), SIZE_MAX);
-      link.client.shutdown_both();
-      break;
+void ChaosProxy::relay(Link& link) {
+  const int client = link.client.fd();
+  const int upstream = link.upstream.fd();
+  std::string request;
+  std::string response;
+  try {
+    while (serve::read_frame(client, request)) {
+      const FaultKind fault =
+          decide_fault(faults_, seed_, requests_.fetch_add(1));
+      if (fault == FaultKind::kDrop) break;
+      if (fault == FaultKind::kBlackhole) {
+        // Nothing ever flows back; park until the client or stop() ends
+        // the connection.
+        drain_bytes(client);
+        break;
+      }
+      if (fault == FaultKind::kDelay) {
+        std::this_thread::sleep_for(
+            std::chrono::duration<double, std::milli>(faults_.delay_ms));
+      }
+      serve::write_frame(upstream, request);
+      if (!serve::read_frame(upstream, response)) break;  // upstream left
+      if (fault == FaultKind::kTruncate) {
+        send_frame_prefix(client, response, kTruncateAfterBytes);
+        break;
+      }
+      serve::write_frame(client, response);
+    }
+  } catch (const std::exception&) {
+    // Torn framing on either side ends this connection only.
   }
-  if (fault != FaultKind::kBlackhole) link.done.store(true);
+  link.client.shutdown_both();
+  link.upstream.shutdown_both();
+  link.done.store(true);
 }
 
 }  // namespace mrsc::fleet

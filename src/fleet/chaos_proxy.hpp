@@ -1,17 +1,21 @@
 // Fault-injecting TCP proxy for chaos-testing the fleet.
 //
-// The proxy sits between a fleet client and one upstream shard and makes a
-// *seeded* per-connection fault decision, so a chaos run is replayable:
-// connection k (in accept order) draws its fate from
+// The proxy sits between a fleet client and one upstream shard, speaks the
+// serve framing (one upstream connection per client connection) and makes
+// a *seeded* per-request fault decision, so a chaos run is replayable:
+// request k (in arrival order, over all connections) draws its fate from
 // Rng(stream_seed(seed, k)) against the configured fault probabilities.
+// Deciding per request rather than per connection keeps the faults coming
+// when the fleet reuses one connection for many requests.
 //
-//   drop        close the client connection immediately on accept
-//   delay       forward normally, but only after delay_ms of silence
-//   truncate    relay the upstream response but cut the stream mid-frame
-//               (after a few bytes of the length header/payload), then
-//               close — exercises the client's mid-frame EOF handling
-//   blackhole   read and discard the client's bytes, forward nothing,
-//               hold the connection open — exercises timeouts and hedging
+//   drop        close the client connection when the request arrives
+//   delay       hold the request for delay_ms, then relay it normally
+//   truncate    relay the request but cut the response mid-frame (after
+//               the 4-byte length header and 2 payload bytes), then close
+//               — exercises the client's mid-frame EOF handling
+//   blackhole   read and discard everything the client sends from then on,
+//               forward nothing, hold the connection open — exercises
+//               timeouts and hedging
 //
 // The decision is cumulative: u < drop → drop, u < drop+delay → delay, and
 // so on; anything past the sum is a clean relay. The proxy is a library
@@ -40,7 +44,7 @@ struct ChaosFaults {
   double blackhole = 0.0;
 };
 
-/// What the seeded draw decided for one connection (exposed for tests).
+/// What the seeded draw decided for one request (exposed for tests).
 enum class FaultKind : std::uint8_t {
   kClean,
   kDrop,
@@ -51,8 +55,8 @@ enum class FaultKind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(FaultKind kind);
 
-/// The pure decision function: connection `index` under `faults` and
-/// `seed`. Deterministic; the proxy calls exactly this.
+/// The pure decision function: request `index` under `faults` and `seed`.
+/// Deterministic; the proxy calls exactly this.
 [[nodiscard]] FaultKind decide_fault(const ChaosFaults& faults,
                                      std::uint64_t seed,
                                      std::uint64_t index);
@@ -70,15 +74,17 @@ class ChaosProxy {
   void stop();
 
   [[nodiscard]] std::uint16_t port() const { return port_; }
-  /// Connections accepted so far (== the next connection's fault index).
+  /// Connections accepted so far.
   [[nodiscard]] std::uint64_t connections() const {
     return connections_.load();
   }
+  /// Requests received so far (== the next request's fault index).
+  [[nodiscard]] std::uint64_t requests() const { return requests_.load(); }
 
  private:
   struct Link;
   void accept_loop();
-  void relay(Link& link, FaultKind fault);
+  void relay(Link& link);
 
   Endpoint upstream_;
   ChaosFaults faults_;
@@ -89,6 +95,7 @@ class ChaosProxy {
   std::thread accept_thread_;
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> connections_{0};
+  std::atomic<std::uint64_t> requests_{0};
   std::mutex links_mutex_;
   std::vector<std::unique_ptr<Link>> links_;
 };

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <climits>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -25,12 +26,13 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-/// Splits a response payload into (status, detail) without assuming it is
-/// well-formed: a chaos-mangled or garbage payload classifies as an error.
-void classify_response(const std::string& payload, std::string& status,
-                       std::string& detail) {
+/// Parses a response payload into `parsed` and splits out (status,
+/// detail) without assuming it is well-formed: a chaos-mangled or garbage
+/// payload classifies as an error.
+void classify_response(const std::string& payload, json& parsed,
+                       std::string& status, std::string& detail) {
   try {
-    const json parsed = serve::json::parse(payload);
+    parsed = serve::json::parse(payload);
     status = parsed.get_string("status", "");
     if (status == "rejected") {
       detail = parsed.get_string("reason", "");
@@ -52,10 +54,37 @@ FleetClient::FleetClient(FleetOptions options) : options_(std::move(options)) {
   if (options_.max_attempts == 0) {
     throw std::invalid_argument("fleet: max_attempts must be >= 1");
   }
+  workers_ = options_.concurrency > 0 ? options_.concurrency
+                                      : 2 * options_.shards.size();
   shards_.reserve(options_.shards.size());
   for (const Endpoint& endpoint : options_.shards) {
     shards_.push_back(std::make_unique<Shard>(endpoint, options_.health));
   }
+}
+
+serve::Socket FleetClient::take_idle(Shard& shard, std::uint64_t& drops) {
+  const std::lock_guard lock(shard.idle_mutex);
+  drops = shard.drops;
+  if (shard.idle.empty()) return {};
+  serve::Socket socket = std::move(shard.idle.back());
+  shard.idle.pop_back();
+  return socket;
+}
+
+void FleetClient::keep_idle(Shard& shard, serve::Socket socket) {
+  if (!socket.valid()) return;
+  const std::lock_guard lock(shard.idle_mutex);
+  if (shard.idle.size() < workers_) shard.idle.push_back(std::move(socket));
+}
+
+bool FleetClient::drop_idle(Shard& shard, std::uint64_t drops,
+                            bool silent) {
+  std::vector<serve::Socket> stale;  // closed on return, outside the lock
+  const std::lock_guard lock(shard.idle_mutex);
+  if (silent && shard.drops != drops) return false;
+  stale.swap(shard.idle);
+  ++shard.drops;
+  return true;
 }
 
 FleetCounters FleetClient::counters() const {
@@ -67,6 +96,7 @@ FleetCounters FleetClient::counters() const {
   out.failures = counters_.failures.load();
   out.timeouts = counters_.timeouts.load();
   out.probes = counters_.probes.load();
+  out.connections = counters_.connections.load();
   return out;
 }
 
@@ -121,8 +151,8 @@ int FleetClient::route(int exclude) {
   return -1;  // exclusion ate the only shard (single-shard hedge)
 }
 
-std::string FleetClient::execute_slice(std::size_t slice,
-                                       const std::string& request) {
+SliceResponse FleetClient::execute_slice(std::size_t slice,
+                                         const std::string& request) {
   std::string last_error = "no attempt made";
   bool hedged = false;  // at most one hedge per slice, across all attempts
 
@@ -134,15 +164,24 @@ std::string FleetClient::execute_slice(std::size_t slice,
 
     struct Flight {
       int shard;
+      std::uint64_t drops;  ///< the shard's drop count at launch
       std::unique_ptr<PendingRequest> pending;
     };
     std::vector<Flight> flights;
     auto launch = [&](int shard) {
-      shards_[shard]->outstanding.fetch_add(1);
+      Shard& target = *shards_[shard];
+      target.outstanding.fetch_add(1);
       counters_.attempts.fetch_add(1);
-      flights.push_back({shard, std::make_unique<PendingRequest>(
-                                    shards_[shard]->endpoint, request)});
+      std::uint64_t drops = 0;
+      serve::Socket idle = take_idle(target, drops);
+      flights.push_back({shard, drops,
+                         std::make_unique<PendingRequest>(
+                             target.endpoint, request, std::move(idle))});
+      if (flights.back().pending->connected()) {
+        counters_.connections.fetch_add(1);
+      }
     };
+    // Landing a flight closes its connection unless it was handed back.
     auto land = [&](std::size_t i) {
       shards_[flights[i].shard]->outstanding.fetch_sub(1);
       flights.erase(flights.begin() +
@@ -157,48 +196,66 @@ std::string FleetClient::execute_slice(std::size_t slice,
 
     while (!flights.empty()) {
       // Classify whatever has finished.
-      std::string winner;
+      std::optional<SliceResponse> winner;
       for (std::size_t i = 0; i < flights.size();) {
         PendingRequest& pending = *flights[i].pending;
         if (pending.state() == PendingRequest::State::kPending) {
           ++i;
           continue;
         }
-        const int shard = flights[i].shard;
-        const std::string shard_name =
-            shards_[shard]->endpoint.host + ":" +
-            std::to_string(shards_[shard]->endpoint.port);
+        Shard& shard = *shards_[flights[i].shard];
+        const auto shard_name = [&shard] {
+          return shard.endpoint.host + ":" +
+                 std::to_string(shard.endpoint.port);
+        };
         if (pending.state() == PendingRequest::State::kFailed) {
-          shards_[shard]->health.record_failure();
+          // A counted failure empties the shard's idle stack, since those
+          // connections may be just as dead: retries start on fresh sockets.
+          const bool silent_reuse =
+              !pending.connected() && !pending.received();
+          if (!drop_idle(shard, flights[i].drops, silent_reuse)) {
+            // The failure that broke this idle connection is already
+            // counted: resend on a fresh one within the same attempt.
+            flights[i].pending =
+                std::make_unique<PendingRequest>(shard.endpoint, request);
+            counters_.connections.fetch_add(1);
+            continue;
+          }
+          shard.health.record_failure();
           counters_.failures.fetch_add(1);
-          last_error = shard_name + ": " + pending.error();
+          last_error = shard_name() + ": " + pending.error();
           land(i);
           continue;
         }
+        SliceResponse response;
         std::string status;
         std::string detail;
-        classify_response(pending.response(), status, detail);
+        classify_response(pending.response(), response.parsed, status,
+                          detail);
         if (status == "ok") {
-          shards_[shard]->health.record_success();
-          winner = pending.response();
+          shard.health.record_success();
+          keep_idle(shard, pending.release());
+          response.payload = pending.response();
+          winner = std::move(response);
           break;
         }
         if (status == "rejected") {
           // Overload/draining backpressure: the shard is fine, just full —
           // demote it for routing and try elsewhere.
-          shards_[shard]->health.record_overload();
+          shard.health.record_overload();
           counters_.rejections.fetch_add(1);
-          last_error = shard_name + " rejected: " + detail;
+          keep_idle(shard, pending.release());
+          last_error = shard_name() + " rejected: " + detail;
         } else {
-          shards_[shard]->health.record_failure();
+          shard.health.record_failure();
           counters_.failures.fetch_add(1);
-          last_error = shard_name + " error: " + detail;
+          last_error = shard_name() + " error: " + detail;
         }
         land(i);
       }
-      if (!winner.empty()) {
+      if (winner) {
         abandon_all();  // hedge loser, if any: closed and forgotten
-        return winner;
+        return std::move(*winner);
       }
       if (flights.empty()) break;  // attempt failed; maybe retry
 
@@ -243,18 +300,16 @@ std::string FleetClient::execute_slice(std::size_t slice,
       std::to_string(options_.max_attempts) + " attempt(s): " + last_error);
 }
 
-std::vector<std::string> FleetClient::execute(
+std::vector<SliceResponse> FleetClient::execute_slices(
     const std::vector<std::string>& requests) {
-  std::vector<std::string> results(requests.size());
+  std::vector<SliceResponse> results(requests.size());
   if (requests.empty()) return results;
 
   std::atomic<std::size_t> next{0};
   std::mutex error_mutex;
   std::exception_ptr first_error;
 
-  std::size_t workers =
-      options_.concurrency > 0 ? options_.concurrency : 2 * shards_.size();
-  workers = std::min(workers, requests.size());
+  const std::size_t workers = std::min(workers_, requests.size());
 
   auto worker = [&] {
     while (true) {
@@ -279,8 +334,19 @@ std::vector<std::string> FleetClient::execute(
   return results;
 }
 
+std::vector<std::string> FleetClient::execute(
+    const std::vector<std::string>& requests) {
+  std::vector<SliceResponse> slices = execute_slices(requests);
+  std::vector<std::string> payloads;
+  payloads.reserve(slices.size());
+  for (SliceResponse& slice : slices) {
+    payloads.push_back(std::move(slice.payload));
+  }
+  return payloads;
+}
+
 std::string FleetClient::request_once(const std::string& request) {
-  return execute_slice(0, request);
+  return execute_slice(0, request).payload;
 }
 
 std::vector<std::string> FleetClient::request_all(
@@ -339,18 +405,15 @@ const json& result_of(const json& response, std::size_t slice) {
   return *result;
 }
 
-/// Parses every response, cross-checking the echoed canonical key against
-/// the locally computed one — a shard (or a proxy) that answered the wrong
-/// question, however plausibly, is an integrity failure, not a statistic.
-std::vector<json> parse_responses(const std::vector<std::string>& responses,
-                                  const std::vector<std::string>& keys) {
+/// Takes each slice's parse, cross-checking the echoed canonical key
+/// against the locally computed one — a shard (or a proxy) that answered
+/// the wrong question, however plausibly, is an integrity failure, not a
+/// statistic.
+std::vector<json> checked_responses(std::vector<SliceResponse> responses,
+                                    const std::vector<std::string>& keys) {
   std::vector<json> parsed(responses.size());
   for (std::size_t i = 0; i < responses.size(); ++i) {
-    parsed[i] = serve::json::parse(responses[i]);
-    if (parsed[i].get_string("status", "") != "ok") {
-      throw std::runtime_error("fleet: slice " + std::to_string(i) +
-                               ": non-ok response escaped the retry layer");
-    }
+    parsed[i] = std::move(responses[i].parsed);
     if (parsed[i].get_string("key", "") != keys[i]) {
       throw std::runtime_error(
           "fleet: slice " + std::to_string(i) +
@@ -379,7 +442,7 @@ std::string run_ensemble(FleetClient& fleet, const EnsembleSpec& spec) {
   }
 
   const std::vector<json> parsed =
-      parse_responses(fleet.execute(requests), keys);
+      checked_responses(fleet.execute_slices(requests), keys);
 
   double events_total = 0.0;
   for (std::size_t i = 0; i < parsed.size(); ++i) {
@@ -456,7 +519,7 @@ std::string run_sweep(FleetClient& fleet, const SweepSpec& spec) {
   }
 
   const std::vector<json> parsed =
-      parse_responses(fleet.execute(requests), keys);
+      checked_responses(fleet.execute_slices(requests), keys);
 
   std::string out = R"({"status":"ok","mode":"sweep","design":)";
   out += quote(design);

@@ -27,11 +27,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "fleet/policy.hpp"
 #include "fleet/transport.hpp"
+#include "serve/json.hpp"
 
 namespace mrsc::fleet {
 
@@ -71,6 +73,13 @@ struct FleetCounters {
   std::uint64_t failures = 0;   ///< transport failures (connect/read/EOF)
   std::uint64_t timeouts = 0;   ///< attempts that hit request_timeout_ms
   std::uint64_t probes = 0;     ///< quarantined shards granted a probe
+  std::uint64_t connections = 0;  ///< connects: pool misses and stale resends
+};
+
+/// One slice's answer as the retry layer accepted it.
+struct SliceResponse {
+  std::string payload;         ///< the bytes the shard sent
+  serve::json::Value parsed;   ///< their one parse; status is "ok"
 };
 
 class FleetClient {
@@ -81,6 +90,11 @@ class FleetClient {
   /// response payloads in slice order. Throws std::runtime_error when any
   /// slice exhausts its attempts.
   [[nodiscard]] std::vector<std::string> execute(
+      const std::vector<std::string>& requests);
+
+  /// execute() that also hands back each response's parse, so callers
+  /// that read the payloads do not parse them a second time.
+  [[nodiscard]] std::vector<SliceResponse> execute_slices(
       const std::vector<std::string>& requests);
 
   /// One-off request through the full resilience policy (catalog, stats).
@@ -101,6 +115,11 @@ class FleetClient {
     Endpoint endpoint;
     HealthTracker health;
     std::atomic<int> outstanding{0};
+    /// Keep-alive connections between requests, most recent on top, and
+    /// how many counted transport failures have emptied them.
+    std::mutex idle_mutex;
+    std::vector<serve::Socket> idle;
+    std::uint64_t drops = 0;
     explicit Shard(Endpoint e, HealthThresholds thresholds)
         : endpoint(std::move(e)), health(thresholds) {}
   };
@@ -115,12 +134,31 @@ class FleetClient {
   [[nodiscard]] int route(int exclude);
 
   /// Runs one slice to a successful response or throws.
-  [[nodiscard]] std::string execute_slice(std::size_t slice,
-                                          const std::string& request);
+  [[nodiscard]] SliceResponse execute_slice(std::size_t slice,
+                                            const std::string& request);
+
+  /// Pops an idle connection to `shard`; an invalid Socket when none.
+  /// `drops` receives the shard's drop count at that moment.
+  [[nodiscard]] serve::Socket take_idle(Shard& shard, std::uint64_t& drops);
+  /// Returns a connection that just carried a whole, well-framed ok or
+  /// rejected response; closes it when the stack already holds workers_.
+  void keep_idle(Shard& shard, serve::Socket socket);
+  /// Takes a transport failure on a connection launched when the shard's
+  /// drop count read `drops` and returns whether it counts. It does not
+  /// when the connection was reused and died `silent` (no response byte)
+  /// after a counted failure emptied the stack since: it sat idle across
+  /// whatever broke the shard, a restart say. A counted failure closes
+  /// every idle connection to `shard` and bumps its drop count.
+  [[nodiscard]] bool drop_idle(Shard& shard, std::uint64_t drops,
+                               bool silent);
 
   void sleep_ms(double ms) const;
 
   FleetOptions options_;
+  /// Worker threads per execute(): options_.concurrency or 2 per shard.
+  /// Also the idle-connection cap per shard, since each worker holds at
+  /// most one connection to a shard between slices.
+  std::size_t workers_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   struct AtomicCounters {
@@ -131,6 +169,7 @@ class FleetClient {
     std::atomic<std::uint64_t> failures{0};
     std::atomic<std::uint64_t> timeouts{0};
     std::atomic<std::uint64_t> probes{0};
+    std::atomic<std::uint64_t> connections{0};
   };
   mutable AtomicCounters counters_;
 };

@@ -1,6 +1,5 @@
 #include "fleet/transport.hpp"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 
@@ -11,19 +10,23 @@
 namespace mrsc::fleet {
 
 PendingRequest::PendingRequest(const Endpoint& endpoint,
-                               const std::string& request) {
+                               const std::string& request,
+                               serve::Socket idle)
+    : socket_(std::move(idle)) {
   try {
-    socket_ = serve::connect_to(endpoint.host, endpoint.port);
+    if (!socket_.valid()) {
+      connected_ = true;
+      socket_ = serve::connect_to(endpoint.host, endpoint.port);
+    }
     serve::write_frame(socket_.fd(), request);
   } catch (const std::exception& error) {
     fail(error.what());
-    return;
   }
-  const int flags = ::fcntl(socket_.fd(), F_GETFL, 0);
-  if (flags < 0 ||
-      ::fcntl(socket_.fd(), F_SETFL, flags | O_NONBLOCK) < 0) {
-    fail(std::string("fcntl: ") + std::strerror(errno));
-  }
+}
+
+serve::Socket PendingRequest::release() {
+  if (state_ != State::kDone || buffer_.size() != 4 + expected_) return {};
+  return std::move(socket_);
 }
 
 void PendingRequest::fail(std::string why) {
@@ -35,7 +38,10 @@ void PendingRequest::fail(std::string why) {
 void PendingRequest::pump() {
   while (state_ == State::kPending) {
     char chunk[4096];
-    const ssize_t n = ::recv(socket_.fd(), chunk, sizeof chunk, 0);
+    // The socket stays blocking for the sends; only these reads must not
+    // wait.
+    const ssize_t n =
+        ::recv(socket_.fd(), chunk, sizeof chunk, MSG_DONTWAIT);
     if (n > 0) {
       buffer_.append(chunk, static_cast<std::size_t>(n));
       if (!have_header_ && buffer_.size() >= 4) {
@@ -59,7 +65,7 @@ void PendingRequest::pump() {
       if (have_header_ && buffer_.size() >= 4 + expected_) {
         response_ = buffer_.substr(4, expected_);
         state_ = State::kDone;
-        socket_.close();
+        return;
       }
       continue;
     }

@@ -2,16 +2,22 @@
 //
 // The fleet needs to hold several requests in flight at once from a single
 // worker thread (a primary plus its hedge) and take whichever answers
-// first. A PendingRequest is one request on its own connection, driven
-// through a tiny state machine: blocking connect + send (cheap against a
-// live listener, fails fast against a dead one), then non-blocking reads of
-// the 4-byte length header and the payload. wait_any() multiplexes any
-// number of them with poll(2).
+// first. A PendingRequest is one request on one connection, driven through
+// a tiny state machine: a blocking send (after a blocking connect when no
+// idle connection was handed in; cheap against a live listener, fails fast
+// against a dead one), then non-blocking reads of the 4-byte length header
+// and the payload. wait_any() multiplexes any number of them with poll(2).
 //
-// Connections are deliberately not reused across attempts: a fresh socket
-// per attempt means a half-dead peer can never poison a retry, and the
-// determinism contract lives entirely in the payloads, so the only cost is
-// a localhost handshake.
+// Connections are kept alive across requests: the serve protocol carries
+// any number of request/response pairs per connection, so the fleet keeps
+// a small stack of idle connections per shard (fleet.hpp) and hands one in
+// here when it has one. A connection is reusable only once a response has
+// arrived whole with nothing after it; the fleet decides from the payload
+// whether it goes back. The fleet closes the connection on every other
+// outcome and empties the shard's idle stack on a transport failure, so
+// every retry after a failure starts on a fresh socket and a half-dead
+// peer can never poison it. The determinism contract lives entirely in the
+// payloads, so which connection carried a request never shows in a result.
 #pragma once
 
 #include <cstdint>
@@ -28,18 +34,24 @@ struct Endpoint {
   std::uint16_t port = 0;
 };
 
-/// One request in flight on its own connection.
+/// One request in flight on one connection.
 class PendingRequest {
  public:
   enum class State : std::uint8_t { kPending, kDone, kFailed };
 
-  /// Connects, sends `request`, and switches the socket to non-blocking
-  /// reads. A refused/failed connect or torn send lands in kFailed rather
-  /// than throwing — callers treat it like any other transport failure.
-  PendingRequest(const Endpoint& endpoint, const std::string& request);
+  /// Sends `request` on `idle` when it is a valid connection, else on a
+  /// fresh connection to `endpoint`. A refused/failed connect or torn send
+  /// lands in kFailed rather than throwing — callers treat it like any
+  /// other transport failure.
+  PendingRequest(const Endpoint& endpoint, const std::string& request,
+                 serve::Socket idle = {});
 
   [[nodiscard]] State state() const { return state_; }
   [[nodiscard]] int fd() const { return socket_.fd(); }
+  /// True when this request opened its own connection.
+  [[nodiscard]] bool connected() const { return connected_; }
+  /// True once any byte of the response has arrived.
+  [[nodiscard]] bool received() const { return !buffer_.empty(); }
 
   /// Non-blocking read step; call when poll reports the fd readable (or
   /// speculatively — it returns on EAGAIN). Moves kPending → kDone once a
@@ -52,11 +64,16 @@ class PendingRequest {
   /// The failure description; only meaningful in kFailed.
   [[nodiscard]] const std::string& error() const { return error_; }
 
+  /// Hands the connection over for reuse: valid only in kDone when the
+  /// peer sent exactly one frame; an invalid Socket otherwise.
+  [[nodiscard]] serve::Socket release();
+
  private:
   void fail(std::string why);
 
   serve::Socket socket_;
   State state_ = State::kPending;
+  bool connected_ = false;
   std::string buffer_;  ///< raw bytes received so far (header + payload)
   std::uint32_t expected_ = 0;
   bool have_header_ = false;

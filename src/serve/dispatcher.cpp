@@ -1,7 +1,10 @@
 #include "serve/dispatcher.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <mutex>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -11,6 +14,7 @@
 #include "lint/lint.hpp"
 #include "runtime/batch.hpp"
 #include "scenario/registry.hpp"
+#include "sim/engine/compiled_system.hpp"
 #include "stress/campaign.hpp"
 #include "verify/verify.hpp"
 
@@ -75,6 +79,57 @@ std::string intensities_csv(const std::vector<double>& intensities) {
 }
 
 }  // namespace
+
+struct CompiledDesign {
+  scenario::BuiltDesign design;
+  sim::CompiledSystem system;
+  explicit CompiledDesign(scenario::BuiltDesign built)
+      : design(std::move(built)), system(*design.network) {}
+};
+
+std::shared_ptr<const CompiledDesign> compiled_design(
+    const std::string& design, int opt) {
+  struct Entry {
+    std::string key;
+    std::shared_ptr<const CompiledDesign> value;
+    std::uint64_t last_use = 0;
+  };
+  static std::mutex mutex;
+  static std::vector<Entry> entries;
+  static std::uint64_t clock = 0;
+
+  const std::string key = design + "|opt=" + std::to_string(opt);
+  const auto lookup = [&]() -> std::shared_ptr<const CompiledDesign> {
+    for (Entry& entry : entries) {
+      if (entry.key == key) {
+        entry.last_use = ++clock;
+        return entry.value;
+      }
+    }
+    return nullptr;
+  };
+  {
+    const std::lock_guard lock(mutex);
+    if (auto hit = lookup()) return hit;
+  }
+  // Build outside the lock: a large design must not stall jobs that hit.
+  compile::CompileOptions options;
+  options.opt = opt == 1 ? compile::OptLevel::kO1 : compile::OptLevel::kO0;
+  auto built = std::make_shared<const CompiledDesign>(
+      scenario::ScenarioRegistry::global().resolve(design, options).design);
+
+  const std::lock_guard lock(mutex);
+  // A racing miss may have inserted the key meanwhile; keep one object.
+  if (auto hit = lookup()) return hit;
+  if (entries.size() >= kDesignMemoEntries) {
+    entries.erase(std::min_element(entries.begin(), entries.end(),
+                                   [](const Entry& a, const Entry& b) {
+                                     return a.last_use < b.last_use;
+                                   }));
+  }
+  entries.push_back({key, built, ++clock});
+  return built;
+}
 
 const char* to_string(JobKind kind) {
   switch (kind) {
@@ -316,16 +371,13 @@ std::string payload_header(const JobRequest& request) {
 
 DispatchResult run_sim(const JobRequest& request,
                        const DispatchHooks& hooks) {
-  compile::CompileOptions options;
-  options.opt =
-      request.opt == 1 ? compile::OptLevel::kO1 : compile::OptLevel::kO0;
-  const scenario::BuiltDesign design =
-      scenario::ScenarioRegistry::global()
-          .resolve(request.design, options)
-          .design;
+  const std::shared_ptr<const CompiledDesign> memo =
+      compiled_design(request.design, request.opt);
+  const scenario::BuiltDesign& design = memo->design;
 
   runtime::SimJob job;
   job.network = design.network;
+  job.compiled = &memo->system;
   if (is_ode_method(request.method)) {
     job.kind = runtime::SimKind::kOde;
     job.ode.t_end = request.t_end;
@@ -441,13 +493,9 @@ DispatchResult run_lint_job(const JobRequest& request,
   if (hooks.cancelled && hooks.cancelled()) {
     return {error_response("cancelled: server shutting down"), false, false};
   }
-  compile::CompileOptions options;
-  options.opt =
-      request.opt == 1 ? compile::OptLevel::kO1 : compile::OptLevel::kO0;
-  const scenario::BuiltDesign design =
-      scenario::ScenarioRegistry::global()
-          .resolve(request.design, options)
-          .design;
+  const std::shared_ptr<const CompiledDesign> memo =
+      compiled_design(request.design, request.opt);
+  const scenario::BuiltDesign& design = memo->design;
   lint::LintInput input =
       lint::LintInput::from_design(*design.network, design.info,
                                    request.design);

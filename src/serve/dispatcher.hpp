@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,23 @@ class BatchRunner;
 }
 
 namespace mrsc::serve {
+
+/// Sim and lint designs the memo keeps built at once (least recently used
+/// goes first). A fixed size, not an option: it only has to hold the
+/// handful of designs a campaign cycles through.
+constexpr std::size_t kDesignMemoEntries = 16;
+
+/// A registry design resolved and compiled once: the BuiltDesign plus its
+/// CompiledSystem, immutable and shared read-only by every job naming it.
+struct CompiledDesign;
+
+/// The process-wide design memo. Returns the entry for the canonical
+/// registry spec `design` at compile level `opt`, resolving and compiling
+/// it on first use; a later call with the same key returns the same
+/// object while it stays among the kDesignMemoEntries most recently used.
+/// Thread-safe. Throws what ScenarioRegistry::resolve throws.
+[[nodiscard]] std::shared_ptr<const CompiledDesign> compiled_design(
+    const std::string& design, int opt);
 
 enum class JobKind : std::uint8_t { kSim, kVerify, kLint, kStress, kSleep };
 

@@ -9,13 +9,13 @@
 //   --listen-port P    port to bind; 0 = ephemeral (default 0)
 //   --port-file PATH   write the bound port to PATH
 //   --seed S           fault-schedule seed         (default 1)
-//   --drop X           P(close on accept)          (default 0)
+//   --drop X           P(close when a request arrives) (default 0)
 //   --delay X          P(delay the response)       (default 0)
 //   --delay-ms MS      delay length                (default 50)
 //   --truncate X       P(cut the response mid-frame) (default 0)
 //   --blackhole X      P(swallow everything, hold the connection) (default 0)
 //
-// Connection k (accept order) draws its fault from Rng(stream_seed(seed,k)),
+// Request k (arrival order) draws its fault from Rng(stream_seed(seed,k)),
 // so a given (seed, probabilities) pair is a replayable fault schedule.
 // Runs until SIGTERM/SIGINT.
 //
@@ -137,9 +137,12 @@ int main(int argc, char** argv) {
     while (g_signal == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
-    std::printf("mrsc_chaosproxy: signal %d, %llu connection(s) proxied\n",
-                static_cast<int>(g_signal),
-                static_cast<unsigned long long>(proxy.connections()));
+    std::printf(
+        "mrsc_chaosproxy: signal %d, %llu request(s) over %llu "
+        "connection(s) proxied\n",
+        static_cast<int>(g_signal),
+        static_cast<unsigned long long>(proxy.requests()),
+        static_cast<unsigned long long>(proxy.connections()));
     proxy.stop();
     return 0;
   } catch (const std::exception& error) {

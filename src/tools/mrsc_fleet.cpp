@@ -174,14 +174,15 @@ void print_diagnostics(const fleet::FleetClient& client) {
   const fleet::FleetCounters counters = client.counters();
   std::printf(
       "fleet: %llu attempt(s), %llu retried, %llu hedged, %llu rejected, "
-      "%llu failed, %llu timed out, %llu probe(s)\n",
+      "%llu failed, %llu timed out, %llu probe(s), %llu connection(s)\n",
       static_cast<unsigned long long>(counters.attempts),
       static_cast<unsigned long long>(counters.retries),
       static_cast<unsigned long long>(counters.hedges),
       static_cast<unsigned long long>(counters.rejections),
       static_cast<unsigned long long>(counters.failures),
       static_cast<unsigned long long>(counters.timeouts),
-      static_cast<unsigned long long>(counters.probes));
+      static_cast<unsigned long long>(counters.probes),
+      static_cast<unsigned long long>(counters.connections));
   for (std::size_t s = 0; s < client.shard_count(); ++s) {
     std::printf("fleet: shard %zu is %s\n", s,
                 to_string(client.shard_state(s)));

@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fleet/chaos_proxy.hpp"
@@ -372,8 +373,42 @@ TEST(FleetChaos, ProxyFaultsDoNotChangeTheBytes) {
   options.max_attempts = 10;  // the schedule can be unlucky several times
   FleetClient chaotic(options);
   EXPECT_EQ(run_ensemble(chaotic, spec), golden);
-  EXPECT_GE(proxy_a.connections() + proxy_b.connections(),
-            spec.replicates);
+  EXPECT_GE(proxy_a.requests() + proxy_b.requests(), spec.replicates);
+  // The fates drawn per request: the schedule must have hit the client
+  // with both failure modes, not merely have had the chance to.
+  std::size_t drops = 0;
+  std::size_t truncations = 0;
+  for (const auto& [proxy, seed] :
+       {std::pair{&proxy_a, 11}, std::pair{&proxy_b, 12}}) {
+    for (std::uint64_t k = 0; k < proxy->requests(); ++k) {
+      const FaultKind fault = decide_fault(faults, seed, k);
+      drops += fault == FaultKind::kDrop ? 1 : 0;
+      truncations += fault == FaultKind::kTruncate ? 1 : 0;
+    }
+  }
+  EXPECT_GE(drops, 1u);
+  EXPECT_GE(truncations, 1u);
+}
+
+TEST(FleetChaos, FatesAreDrawnPerRequestOnOneConnection) {
+  ShardProcess a;
+  ChaosFaults faults;
+  faults.drop = 0.5;
+  // A seed whose schedule relays request 0 and drops request 1.
+  std::uint64_t seed = 1;
+  while (decide_fault(faults, seed, 0) != FaultKind::kClean ||
+         decide_fault(faults, seed, 1) != FaultKind::kDrop) {
+    ++seed;
+  }
+  ChaosProxy proxy({"127.0.0.1", a.server->port()}, faults, seed);
+  proxy.start();
+  serve::Client client("127.0.0.1", proxy.port());
+  EXPECT_EQ(client.request_raw(R"({"op":"ping"})"),
+            R"({"status":"ok","op":"ping"})");
+  EXPECT_THROW((void)client.request_raw(R"({"op":"ping"})"),
+               std::runtime_error);
+  EXPECT_EQ(proxy.connections(), 1u);
+  EXPECT_EQ(proxy.requests(), 2u);
 }
 
 TEST(FleetChaos, TruncatedResponseFailsTheRequestCleanly) {
@@ -394,6 +429,132 @@ TEST(FleetChaos, TruncatedResponseFailsTheRequestCleanly) {
   ASSERT_EQ(request.state(), PendingRequest::State::kFailed);
   EXPECT_NE(request.error().find("mid-frame"), std::string::npos)
       << request.error();
+}
+
+// ----------------------------------------------------------- keep-alive --
+
+TEST(FleetKeepAlive, ConnectionsAreCappedByConcurrencyPerShard) {
+  ShardProcess a;
+  ShardProcess b;
+  EnsembleSpec spec = small_ensemble();
+  spec.replicates = 16;
+  FleetClient one(fast_policy({a.endpoint()}));
+  const std::string golden = run_ensemble(one, spec);
+
+  FleetOptions options = fast_policy({a.endpoint(), b.endpoint()});
+  options.concurrency = 2;
+  FleetClient pooled(options);
+  EXPECT_EQ(run_ensemble(pooled, spec), golden);
+  const FleetCounters counters = pooled.counters();
+  EXPECT_EQ(counters.attempts, spec.replicates);
+  EXPECT_GE(counters.connections, 1u);
+  EXPECT_LE(counters.connections, 4u) << "2 workers x 2 shards at most";
+}
+
+TEST(FleetKeepAlive, HedgeLoserIsClosedNotPooled) {
+  ShardProcess live;
+  ChaosFaults faults;
+  faults.blackhole = 1.0;
+  ChaosProxy hole({"127.0.0.1", live.server->port()}, faults, 1);
+  hole.start();
+  FleetOptions options = fast_policy(
+      {{"127.0.0.1", hole.port()}, live.endpoint()});
+  options.hedge_ms = 25.0;
+  FleetClient fleet(options);
+
+  for (int round = 1; round <= 2; ++round) {
+    EXPECT_EQ(fleet.request_once(R"({"op":"ping"})"),
+              R"({"status":"ok","op":"ping"})");
+    // Each primary lands on the black hole over a new connection: the
+    // previous round's losing connection was closed, not kept.
+    EXPECT_EQ(hole.connections(), static_cast<std::uint64_t>(round));
+  }
+  const FleetCounters counters = fleet.counters();
+  EXPECT_EQ(counters.hedges, 2u);
+  EXPECT_EQ(counters.connections, 3u)
+      << "two primaries on fresh sockets; the second hedge reuses the "
+         "first hedge's connection";
+}
+
+TEST(FleetKeepAlive, TimedOutConnectionIsClosedNotPooled) {
+  ShardProcess live;
+  ChaosFaults faults;
+  faults.blackhole = 1.0;
+  ChaosProxy hole({"127.0.0.1", live.server->port()}, faults, 1);
+  hole.start();
+  FleetOptions options = fast_policy({{"127.0.0.1", hole.port()}});
+  options.request_timeout_ms = 30.0;
+  options.max_attempts = 3;
+  FleetClient fleet(options);
+  EXPECT_THROW((void)fleet.request_once(R"({"op":"ping"})"),
+               std::runtime_error);
+  const FleetCounters counters = fleet.counters();
+  EXPECT_EQ(counters.timeouts, 3u);
+  EXPECT_EQ(counters.connections, 3u);
+  EXPECT_EQ(hole.connections(), 3u);
+}
+
+TEST(FleetKeepAlive, RestartedShardCostsOneFailedAttempt) {
+  auto first = std::make_unique<ShardProcess>();
+  const std::uint16_t port = first->server->port();
+  FleetOptions options = fast_policy({first->endpoint()});
+  options.concurrency = 2;
+  FleetClient fleet(options);
+  const std::string job =
+      R"({"op":"job","kind":"sim","design":"counter","t_end":1,"seed":9})";
+  const std::string golden = fleet.request_once(job);
+
+  // Two overlapping slices leave two idle connections in the pool.
+  const std::string sleep = R"({"op":"job","kind":"sleep","ms":100})";
+  static_cast<void>(fleet.execute({sleep, sleep}));
+  ASSERT_EQ(fleet.counters().connections, 2u);
+
+  first.reset();  // stops the shard; both idle connections go stale
+  serve::ServerOptions restart;
+  restart.port = port;
+  const ShardProcess second(restart);
+
+  const FleetCounters before = fleet.counters();
+  EXPECT_EQ(fleet.request_once(job), golden);
+  const FleetCounters after = fleet.counters();
+  // The first stale connection fails; the failure empties the pool, so the
+  // retry connects afresh instead of trying the second stale one.
+  EXPECT_EQ(after.failures - before.failures, 1u);
+  EXPECT_EQ(after.attempts - before.attempts, 2u);
+  EXPECT_EQ(after.connections - before.connections, 1u);
+}
+
+TEST(FleetKeepAlive, RestartUnderConcurrencyCostsOneFailedAttempt) {
+  // The shard sits behind a proxy that holds every request 50 ms, so all
+  // four workers are on stale pooled connections before the first of them
+  // fails. Only that first failure counts and empties the pool; the others
+  // resend on fresh connections, and the shard is never quarantined (four
+  // counted failures would do it).
+  serve::ServerOptions wide;
+  wide.workers = 4;
+  auto first = std::make_unique<ShardProcess>(wide);
+  ChaosFaults faults;
+  faults.delay = 1.0;
+  ChaosProxy proxy(first->endpoint(), faults, 1);
+  proxy.start();
+  FleetOptions options = fast_policy({{"127.0.0.1", proxy.port()}});
+  options.concurrency = 4;
+  FleetClient fleet(options);
+  const std::vector<std::string> four(4, R"({"op":"ping"})");
+  const std::vector<std::string> answers = fleet.execute(four);
+  ASSERT_EQ(fleet.counters().connections, 4u);
+
+  wide.port = first->server->port();
+  first.reset();  // the proxy's four upstream connections go stale
+  const ShardProcess second(wide);
+
+  const FleetCounters before = fleet.counters();
+  EXPECT_EQ(fleet.execute(four), answers);
+  const FleetCounters after = fleet.counters();
+  EXPECT_EQ(after.failures - before.failures, 1u);
+  EXPECT_EQ(after.attempts - before.attempts, 5u) << "4 slices + 1 retry";
+  EXPECT_EQ(after.connections - before.connections, 4u);
+  EXPECT_EQ(fleet.shard_state(0), ShardHealth::kHealthy);
 }
 
 // -------------------------------------------------------------- hedging --

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/cache.hpp"
@@ -248,6 +249,65 @@ TEST(ServeDispatcher, SeedChangesTheSimPayload) {
   ASSERT_TRUE(seed1.ok);
   ASSERT_TRUE(seed2.ok);
   EXPECT_NE(seed1.payload, seed2.payload);
+}
+
+TEST(ServeDispatcher, DesignMemoHitReturnsTheSameObject) {
+  const auto first = compiled_design("delay_chain(3)", 1);
+  EXPECT_EQ(compiled_design("delay_chain(3)", 1).get(), first.get());
+  EXPECT_NE(compiled_design("delay_chain(3)", 0).get(), first.get());
+  // Bounded: once kDesignMemoEntries other designs were used since, the
+  // entry is rebuilt (the holder's copy stays valid).
+  for (std::size_t n = 1; n <= kDesignMemoEntries; ++n) {
+    static_cast<void>(
+        compiled_design("delay_chain(" + std::to_string(n + 3) + ")", 1));
+  }
+  EXPECT_NE(compiled_design("delay_chain(3)", 1).get(), first.get());
+}
+
+TEST(ServeDispatcher, MemoisedSimPayloadsMatchTheColdGoldens) {
+  // Recorded from a server that resolved and compiled the design afresh
+  // for every job; each job below runs twice, the second on a memo hit.
+  const std::pair<const char*, const char*> goldens[] = {
+      {R"g("kind":"sim","design":"counter(2)","t_end":1,"omega":50,)g"
+       R"g("seed":9007199254740992)g",
+       R"g({"status":"ok","kind":"sim","key":"mrsc-serve-v1|kind=sim|)g"
+       R"g(design=counter(2)|opt=0|method=nrm|seed=9007199254740992|t_end=1|)g"
+       R"g(omega=50|record=0.02","result":{"design":"counter(2)",)g"
+       R"g("method":"nrm","opt":0,"seed":9007199254740992,"t_end":1,)g"
+       R"g("omega":50,"end_time":1,"ssa_events":187,"ode_steps":0,"final":{)g"
+       R"g("ctr_clk_R":0.95999999999999996,"ctr_clk_G":0.040000000000000001,)g"
+       R"g("ctr_clk_B":0,"ctr_clk_r":0,"ctr_clk_g":0.02,)g"
+       R"g("ctr_clk_b":0.23999999999999999,"ctr_clk_I_r2g":0,)g"
+       R"g("ctr_clk_I_g2b":0,"ctr_clk_I_b2r":0,"ctr_c0":0,"ctr_c1":0,)g"
+       R"g("ctr_n1":0,"ctr_c2":0,"ctr_n2":0,"ctr_Z0":1,"ctr_O0":0,)g"
+       R"g("ctr_Zp0":0,"ctr_Op0":0,"ctr_Z1":1,"ctr_O1":0,"ctr_Zp1":0,)g"
+       R"g("ctr_Op1":0}}})g"},
+      {R"g("kind":"sim","design":"counter(2)","method":"dp45","t_end":1)g",
+       R"g({"status":"ok","kind":"sim","key":"mrsc-serve-v1|kind=sim|)g"
+       R"g(design=counter(2)|opt=0|method=dp45|seed=1|t_end=1|omega=200|)g"
+       R"g(record=0.02","result":{"design":"counter(2)","method":"dp45",)g"
+       R"g("opt":0,"seed":1,"t_end":1,"omega":200,"end_time":1,)g"
+       R"g("ssa_events":0,"ode_steps":607,"final":{)g"
+       R"g("ctr_clk_R":0.96967948931225245,"ctr_clk_G":0.028438432104955252,)g"
+       R"g("ctr_clk_B":4.936886878390292e-07,)g"
+       R"g("ctr_clk_r":0.0002578004944384814,)g"
+       R"g("ctr_clk_g":0.0095330927518848512,)g"
+       R"g("ctr_clk_b":0.22161925866973983,)g"
+       R"g("ctr_clk_I_r2g":4.1012553232688084e-07,)g"
+       R"g("ctr_clk_I_g2b":2.3572989214025966e-16,)g"
+       R"g("ctr_clk_I_b2r":0.00094038232151970162,"ctr_c0":0,"ctr_c1":0,)g"
+       R"g("ctr_n1":0,"ctr_c2":0,"ctr_n2":0,"ctr_Z0":1,"ctr_O0":0,)g"
+       R"g("ctr_Zp0":0,"ctr_Op0":0,"ctr_Z1":1,"ctr_O1":0,"ctr_Zp1":0,)g"
+       R"g("ctr_Op1":0}}})g"},
+  };
+  for (const auto& [body, golden] : goldens) {
+    const JobRequest job = parse_job(job_json(body));
+    for (int run = 0; run < 2; ++run) {
+      const DispatchResult result = run_job(job, {});
+      ASSERT_TRUE(result.ok) << result.payload;
+      EXPECT_EQ(result.payload, golden) << body << " run " << run;
+    }
+  }
 }
 
 TEST(ServeDispatcher, LintJobPayloadIsCompactJson) {
