@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "core/builder.hpp"
 
@@ -186,6 +188,41 @@ TEST(Ssa, CountSizeMismatchThrows) {
   EXPECT_THROW(
       (void)simulate_ssa(system, options, std::vector<std::int64_t>{1}),
       std::invalid_argument);
+}
+
+TEST(Ssa, AbortPollLandsOnExactEventCounts) {
+  // A reversible pair never exhausts, so only the hook can stop the run.
+  ReactionNetwork net;
+  NetworkBuilder b(net);
+  b.species("A", 1.0);
+  b.reaction("A -> B", 1.0);
+  b.reaction("B -> A", 1.0);
+  SsaOptions options;
+  options.t_end = 1e9;
+  options.omega = 100.0;
+  options.seed = 5;
+  // The k-th poll happens once (k-1) * stride events have fired, so a hook
+  // that answers true on its k-th call stops the run exactly there. A
+  // stride of 0 polls like a stride of 1.
+  for (const SsaMethod method :
+       {SsaMethod::kDirect, SsaMethod::kNextReaction}) {
+    for (const EngineKind kind : {EngineKind::kLegacy, EngineKind::kCompiled}) {
+      for (const std::uint64_t stride : {0ull, 1ull, 7ull, 1024ull}) {
+        for (const std::uint64_t k : {1ull, 2ull, 5ull}) {
+          std::uint64_t calls = 0;
+          options.method = method;
+          options.engine.kind = kind;
+          options.abort_check_events = stride;
+          options.abort = [&calls, k] { return ++calls == k; };
+          const SsaResult result = simulate_ssa(net, options);
+          EXPECT_TRUE(result.aborted);
+          EXPECT_EQ(calls, k);
+          EXPECT_EQ(result.events, (k - 1) * std::max<std::uint64_t>(stride, 1))
+              << "stride " << stride << " k " << k;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
