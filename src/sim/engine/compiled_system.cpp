@@ -68,14 +68,31 @@ CompiledSystem::CompiledSystem(const MassActionSystem& system)
     dep_offsets_.push_back(static_cast<std::uint32_t>(dep_reactions_.size()));
   }
 
-  species_dep_offsets_.reserve(species_count_ + 1);
-  species_dep_offsets_.push_back(0);
+  // Transpose the reactant CSR into the species -> reader CSR (a counting
+  // sort: reactions are visited in ascending order, so each species' reader
+  // list comes out sorted, as MassActionSystem::dependents_of_species is).
+  species_dep_offsets_.assign(species_count_ + 1, 0);
+  max_reactant_stoich_.assign(species_count_, 0);
+  for (std::size_t k = 0; k < reactant_species_.size(); ++k) {
+    const std::uint32_t i = reactant_species_[k];
+    ++species_dep_offsets_[i + 1];
+    max_reactant_stoich_[i] =
+        std::max(max_reactant_stoich_[i], reactant_stoich_[k]);
+  }
   for (std::size_t i = 0; i < species_count_; ++i) {
-    for (std::uint32_t dep : system.dependents_of_species(i)) {
-      species_dep_reactions_.push_back(dep);
+    species_dep_offsets_[i + 1] += species_dep_offsets_[i];
+  }
+  species_dep_reactions_.resize(reactant_species_.size());
+  species_dep_stoich_.resize(reactant_species_.size());
+  std::vector<std::uint32_t> fill(species_dep_offsets_.begin(),
+                                  species_dep_offsets_.end() - 1);
+  for (std::size_t j = 0; j < m; ++j) {
+    for (std::uint32_t k = reactant_offsets_[j]; k < reactant_offsets_[j + 1];
+         ++k) {
+      const std::uint32_t slot = fill[reactant_species_[k]]++;
+      species_dep_reactions_[slot] = static_cast<std::uint32_t>(j);
+      species_dep_stoich_[slot] = reactant_stoich_[k];
     }
-    species_dep_offsets_.push_back(
-        static_cast<std::uint32_t>(species_dep_reactions_.size()));
   }
 }
 

@@ -5,9 +5,9 @@
 //  * CSR (compressed-sparse-row) reactant and net-change tables in parallel
 //    structure-of-arrays layout, so derivative and propensity evaluation are
 //    tight loops over contiguous index/coefficient arrays;
-//  * a CSR next-reaction dependency graph and species->reaction incidence,
-//    shared read-only across every replicate of an ensemble instead of being
-//    re-derived per job;
+//  * a CSR next-reaction dependency graph and species->(reaction, stoich)
+//    reader incidence, shared read-only across every replicate of an
+//    ensemble instead of being re-derived per job;
 //  * a per-reaction kernel tag specializing the dominant shapes the lowering
 //    context emits (unimolecular gated transfer, bimolecular drain, dimeric
 //    indicator feedback) with a generic mass-action fallback;
@@ -113,6 +113,20 @@ class CompiledSystem {
     return {species_dep_reactions_.data() + species_dep_offsets_[i],
             species_dep_offsets_[i + 1] - species_dep_offsets_[i]};
   }
+  /// Stoichiometry with which each of `dependents_of_species(i)` consumes
+  /// species i (parallel to it): reaction r is blocked on i while
+  /// n_i < reader_stoich(i)[k].
+  [[nodiscard]] std::span<const std::uint32_t> reader_stoich(
+      std::size_t i) const {
+    return {species_dep_stoich_.data() + species_dep_offsets_[i],
+            species_dep_offsets_[i + 1] - species_dep_offsets_[i]};
+  }
+  /// Largest reactant stoichiometry of species i over all reactions (0 when
+  /// no reaction reads i). A count change that stays at or above it cannot
+  /// block or unblock any reaction.
+  [[nodiscard]] std::uint32_t max_reactant_stoich(std::size_t i) const {
+    return max_reactant_stoich_[i];
+  }
 
   /// True when firing j changes the count of at least one of j's own
   /// reactants; false means j's propensity is invariant under its own firing
@@ -177,9 +191,12 @@ class CompiledSystem {
   std::vector<std::uint32_t> dep_offsets_;
   std::vector<std::uint32_t> dep_reactions_;
 
-  // CSR species -> dependent reactions incidence.
+  // CSR species -> (reading reaction, stoichiometry) incidence, plus the
+  // largest stoichiometry per species.
   std::vector<std::uint32_t> species_dep_offsets_;
   std::vector<std::uint32_t> species_dep_reactions_;
+  std::vector<std::uint32_t> species_dep_stoich_;
+  std::vector<std::uint32_t> max_reactant_stoich_;
 };
 
 }  // namespace mrsc::sim

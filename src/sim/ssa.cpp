@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 
@@ -14,33 +15,52 @@ namespace {
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
-/// True when the cancellation hook requests a stop. Polled on a stride of
-/// `abort_check_events` so the per-event hot path stays untaxed.
-bool abort_due(const SsaOptions& options, std::uint64_t events) {
-  if (!options.abort) return false;
-  const std::uint64_t stride = std::max<std::uint64_t>(
-      options.abort_check_events, 1);
-  return events % stride == 0 && options.abort();
-}
+/// Polls the cancellation hook every `abort_check_events` calls (a stride of
+/// 0 acts as 1), starting with the first: call i polls when i % stride == 0.
+/// The steppers call it once per loop iteration, so it polls after exactly
+/// 0, stride, 2*stride, ... events. A countdown keeps the per-event cost to
+/// one decrement and branch instead of a 64-bit division.
+class AbortPoll {
+ public:
+  explicit AbortPoll(const SsaOptions& options)
+      : hook_(options.abort ? &options.abort : nullptr),
+        stride_(std::max<std::uint64_t>(options.abort_check_events, 1)) {}
+
+  [[nodiscard]] bool due() {
+    if (--countdown_ != 0) return false;
+    countdown_ = stride_;
+    return hook_ != nullptr && (*hook_)();
+  }
+
+ private:
+  const std::function<bool()>* hook_;
+  std::uint64_t stride_;
+  std::uint64_t countdown_ = 1;
+};
 
 /// Indexed binary min-heap over (reaction, absolute firing time); supports
 /// decrease/increase-key by reaction index, as the next-reaction method needs.
 class IndexedTimeHeap {
  public:
-  explicit IndexedTimeHeap(std::span<const double> initial_times)
-      : times_(initial_times.begin(), initial_times.end()),
-        heap_(initial_times.size()),
-        position_(initial_times.size()) {
-    for (std::size_t i = 0; i < heap_.size(); ++i) {
+  /// Builds the heap over `n` reactions; `initial_time(j)` is called once
+  /// per reaction, in ascending j.
+  template <class F>
+  IndexedTimeHeap(std::size_t n, F&& initial_time)
+      : times_(n), heap_(n), position_(n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      times_[i] = initial_time(i);
       heap_[i] = i;
       position_[i] = i;
     }
-    for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
+    for (std::size_t i = n / 2; i-- > 0;) sift_down(i);
   }
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t top_reaction() const { return heap_.front(); }
   [[nodiscard]] double top_time() const { return times_[heap_.front()]; }
+  [[nodiscard]] double time(std::size_t reaction) const {
+    return times_[reaction];
+  }
 
   void update(std::size_t reaction, double new_time) {
     const double old_time = times_[reaction];
@@ -144,11 +164,23 @@ class SsaRecorder {
 // per run), neither of which can change a bit of the result.
 
 /// Legacy evaluator: forwards to MassActionSystem, recomputing the propensity
-/// scale factor on every call exactly as the original code did.
+/// scale factor on every call exactly as the original code did. It derives
+/// the species -> (reader, stoichiometry) table that CompiledSystem stores
+/// from the reactant lists.
 class LegacyEval {
  public:
   LegacyEval(const MassActionSystem& system, double omega)
-      : system_(system), omega_(omega) {}
+      : system_(system),
+        omega_(omega),
+        readers_(system.species_count()),
+        max_stoich_(system.species_count(), 0) {
+    for (std::size_t j = 0; j < system.reaction_count(); ++j) {
+      for (const auto& [idx, stoich] : system.compiled_reaction(j).reactants) {
+        readers_[idx].emplace_back(static_cast<std::uint32_t>(j), stoich);
+        max_stoich_[idx] = std::max(max_stoich_[idx], stoich);
+      }
+    }
+  }
 
   [[nodiscard]] std::size_t reaction_count() const {
     return system_.reaction_count();
@@ -175,10 +207,25 @@ class LegacyEval {
       f(idx, stoich);
     }
   }
+  template <class F>
+  void for_each_net_change(std::size_t j, F&& f) const {
+    for (const auto& [idx, delta] : system_.compiled_reaction(j).net_changes) {
+      f(idx, delta);
+    }
+  }
+  template <class F>
+  void for_each_reader(std::size_t i, F&& f) const {
+    for (const auto& [reaction, stoich] : readers_[i]) f(reaction, stoich);
+  }
+  [[nodiscard]] std::uint32_t max_reactant_stoich(std::size_t i) const {
+    return max_stoich_[i];
+  }
 
  private:
   const MassActionSystem& system_;
   double omega_;
+  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> readers_;
+  std::vector<std::uint32_t> max_stoich_;
 };
 
 /// Compiled evaluator: CSR tables plus per-run hoisted scale factors carved
@@ -219,6 +266,23 @@ class CompiledEval {
       f(species[k], stoich[k]);
     }
   }
+  template <class F>
+  void for_each_net_change(std::size_t j, F&& f) const {
+    const auto species = system_.net_species(j);
+    const auto delta = system_.net_delta(j);
+    for (std::size_t k = 0; k < species.size(); ++k) f(species[k], delta[k]);
+  }
+  template <class F>
+  void for_each_reader(std::size_t i, F&& f) const {
+    const auto reactions = system_.dependents_of_species(i);
+    const auto stoich = system_.reader_stoich(i);
+    for (std::size_t k = 0; k < reactions.size(); ++k) {
+      f(reactions[k], stoich[k]);
+    }
+  }
+  [[nodiscard]] std::uint32_t max_reactant_stoich(std::size_t i) const {
+    return system_.max_reactant_stoich(i);
+  }
 
  private:
   const CompiledSystem& system_;
@@ -234,10 +298,11 @@ SsaResult run_direct(const Eval& eval, const SsaOptions& options,
   SsaRecorder recorder(options, eval.species_count());
   recorder.record_initial(counts);
 
+  AbortPoll abort(options);
   std::vector<double> propensities(m);
   double t = 0.0;
   while (t < options.t_end && result.events < options.max_events) {
-    if (abort_due(options, result.events)) {
+    if (abort.due()) {
       result.aborted = true;
       break;
     }
@@ -282,26 +347,33 @@ SsaResult run_direct(const Eval& eval, const SsaOptions& options,
 
 template <class Eval>
 SsaResult run_next_reaction(const Eval& eval, const SsaOptions& options,
-                            std::vector<std::int64_t> counts) {
+                            std::vector<std::int64_t> counts, Arena& arena) {
   util::Rng rng(options.seed);
   const std::size_t m = eval.reaction_count();
   SsaResult result;
   SsaRecorder recorder(options, eval.species_count());
   recorder.record_initial(counts);
+  AbortPoll abort(options);
+
+  // blocked[j] counts j's reactants that sit below their stoichiometry; a
+  // blocked reaction's propensity is exactly 0.0.
+  const std::span<std::uint32_t> blocked = arena.alloc<std::uint32_t>(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    eval.for_each_reactant(j, [&](std::uint32_t idx, std::uint32_t stoich) {
+      if (counts[idx] < static_cast<std::int64_t>(stoich)) ++blocked[j];
+    });
+  }
 
   std::vector<double> propensities(m);
-  std::vector<double> firing_times(m);
-  for (std::size_t j = 0; j < m; ++j) {
+  IndexedTimeHeap heap(m, [&](std::size_t j) {
     propensities[j] = eval.propensity(j, counts);
-    firing_times[j] = propensities[j] > 0.0
-                          ? rng.exponential(propensities[j])
-                          : kInfinity;
-  }
-  IndexedTimeHeap heap(firing_times);
+    return propensities[j] > 0.0 ? rng.exponential(propensities[j])
+                                 : kInfinity;
+  });
 
   double t = 0.0;
   while (result.events < options.max_events) {
-    if (abort_due(options, result.events)) {
+    if (abort.due()) {
       result.aborted = true;
       break;
     }
@@ -316,12 +388,32 @@ SsaResult run_next_reaction(const Eval& eval, const SsaOptions& options,
       break;
     }
     recorder.before_event(t_next, counts);
-    eval.apply(fired, counts);
+    // Apply the firing, moving the blocked counts of the readers of every
+    // species whose count crossed one of their thresholds. A change that
+    // stays at or above the species' largest reactant stoichiometry crosses
+    // none.
+    eval.for_each_net_change(fired, [&](std::uint32_t i, std::int32_t delta) {
+      const std::int64_t before = counts[i];
+      const std::int64_t now = before + delta;
+      counts[i] = now;
+      if (std::min(before, now) >=
+          static_cast<std::int64_t>(eval.max_reactant_stoich(i))) {
+        return;
+      }
+      eval.for_each_reader(i, [&](std::uint32_t r, std::uint32_t stoich) {
+        const std::int64_t need = stoich;
+        blocked[r] += static_cast<std::uint32_t>(now < need) -
+                      static_cast<std::uint32_t>(before < need);
+      });
+    });
     t = t_next;
     ++result.events;
 
     // Update every dependent reaction's propensity and firing time.
     for (std::uint32_t dep : eval.affected(fired)) {
+      // Still blocked and already at 0.0: the recompute would give 0.0 again
+      // and an infinite firing time, with no draw and no heap move.
+      if (blocked[dep] != 0 && propensities[dep] == 0.0) continue;
       double a_new;
       if (dep == fired && !eval.affects_own_reactants(fired)) {
         // Pure catalysis: firing left fired's own reactant counts untouched,
@@ -336,7 +428,7 @@ SsaResult run_next_reaction(const Eval& eval, const SsaOptions& options,
         new_time = a_new > 0.0 ? t + rng.exponential(a_new) : kInfinity;
       } else {
         const double a_old = propensities[dep];
-        const double old_time = firing_times[dep];
+        const double old_time = heap.time(dep);
         if (a_new <= 0.0) {
           new_time = kInfinity;
         } else if (a_old <= 0.0 || old_time == kInfinity) {
@@ -347,7 +439,6 @@ SsaResult run_next_reaction(const Eval& eval, const SsaOptions& options,
         }
       }
       propensities[dep] = a_new;
-      firing_times[dep] = new_time;
       heap.update(dep, new_time);
     }
   }
@@ -432,12 +523,12 @@ void validate_options(std::size_t species_count, const SsaOptions& options,
 
 template <class Eval>
 SsaResult dispatch_method(const Eval& eval, const SsaOptions& options,
-                          std::vector<std::int64_t> counts) {
+                          std::vector<std::int64_t> counts, Arena& arena) {
   switch (options.method) {
     case SsaMethod::kDirect:
       return run_direct(eval, options, std::move(counts));
     case SsaMethod::kNextReaction:
-      return run_next_reaction(eval, options, std::move(counts));
+      return run_next_reaction(eval, options, std::move(counts), arena);
     case SsaMethod::kTauLeaping:
       return run_tau_leaping(eval, options, std::move(counts));
   }
@@ -477,8 +568,9 @@ SsaResult simulate_ssa(const MassActionSystem& system,
                        const SsaOptions& options,
                        std::vector<std::int64_t> initial_counts) {
   validate_options(system.species_count(), options, initial_counts);
+  Arena arena;
   const LegacyEval eval(system, options.omega);
-  return dispatch_method(eval, options, std::move(initial_counts));
+  return dispatch_method(eval, options, std::move(initial_counts), arena);
 }
 
 SsaResult simulate_ssa(const CompiledSystem& system, const SsaOptions& options,
@@ -486,7 +578,7 @@ SsaResult simulate_ssa(const CompiledSystem& system, const SsaOptions& options,
   validate_options(system.species_count(), options, initial_counts);
   Arena arena;
   const CompiledEval eval(system, options.omega, arena);
-  return dispatch_method(eval, options, std::move(initial_counts));
+  return dispatch_method(eval, options, std::move(initial_counts), arena);
 }
 
 }  // namespace mrsc::sim

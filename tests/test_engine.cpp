@@ -16,11 +16,13 @@
 //     (or j == k), and has no spurious edges between independent reactions;
 //   * kernel classification and propensity/flux/rhs/jacobian bitwise checks
 //     on handcrafted and fuzz-generated networks;
-//   * the next-reaction stale-propensity skip, regressed against an in-test
-//     reference NRM that always recomputes (identical RNG draw order).
+//   * the next-reaction stale-propensity and blocked-reaction skips,
+//     regressed against an in-test reference NRM that always recomputes
+//     (identical RNG draw order).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -436,9 +438,33 @@ TEST(CompiledSystem, BothConstructorsAgree) {
 // The next-reaction stale-propensity skip, against an always-recompute
 // reference with the identical RNG draw order.
 
+/// What a reference run saw of the blocked states the production loop
+/// tracks incrementally; here they are recomputed from the counts.
+struct BlockedStats {
+  /// Dependent updates on a reaction that is blocked and already at 0.0
+  /// (the ones the production loop skips).
+  std::uint64_t skippable_updates = 0;
+  /// Reactant counts falling below / rising back to stoichiometry s, by s.
+  std::array<std::uint64_t, 4> fell_below{};
+  std::array<std::uint64_t, 4> rose_to{};
+  /// Per reaction: enabled -> blocked and blocked -> enabled transitions.
+  std::vector<std::uint64_t> disabled;
+  std::vector<std::uint64_t> reenabled;
+  std::vector<std::uint64_t> firings;
+};
+
+bool blocked_at(const MassActionSystem& system, std::size_t j,
+                std::span<const std::int64_t> counts) {
+  for (const auto& [idx, stoich] : system.compiled_reaction(j).reactants) {
+    if (counts[idx] < static_cast<std::int64_t>(stoich)) return true;
+  }
+  return false;
+}
+
 SsaResult reference_nrm_always_recompute(const MassActionSystem& system,
                                          const SsaOptions& options,
-                                         std::vector<std::int64_t> counts) {
+                                         std::vector<std::int64_t> counts,
+                                         BlockedStats* stats = nullptr) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   util::Rng rng(options.seed);
   const std::size_t m = system.reaction_count();
@@ -461,6 +487,12 @@ SsaResult reference_nrm_always_recompute(const MassActionSystem& system,
   sample(0.0);
   next_sample = options.record_interval;
 
+  if (stats != nullptr) {
+    *stats = BlockedStats{};
+    stats->disabled.assign(m, 0);
+    stats->reenabled.assign(m, 0);
+    stats->firings.assign(m, 0);
+  }
   std::vector<double> propensities(m);
   std::vector<double> firing_times(m);
   for (std::size_t j = 0; j < m; ++j) {
@@ -488,10 +520,33 @@ SsaResult reference_nrm_always_recompute(const MassActionSystem& system,
       break;
     }
     before_event(t_next);
+    const std::vector<std::int64_t> before = counts;
     system.apply(fired, counts);
     t = t_next;
     ++result.events;
+    if (stats != nullptr) {
+      ++stats->firings[fired];
+      for (std::size_t j = 0; j < m; ++j) {
+        for (const auto& [idx, stoich] : system.compiled_reaction(j).reactants) {
+          const std::int64_t need = stoich;
+          if (stoich >= stats->fell_below.size()) continue;
+          if (before[idx] >= need && counts[idx] < need) {
+            ++stats->fell_below[stoich];
+          } else if (before[idx] < need && counts[idx] >= need) {
+            ++stats->rose_to[stoich];
+          }
+        }
+        const bool was = blocked_at(system, j, before);
+        const bool now = blocked_at(system, j, counts);
+        if (!was && now) ++stats->disabled[j];
+        if (was && !now) ++stats->reenabled[j];
+      }
+    }
     for (const std::uint32_t dep : system.affected_reactions(fired)) {
+      if (stats != nullptr && propensities[dep] == 0.0 &&
+          blocked_at(system, dep, counts)) {
+        ++stats->skippable_updates;
+      }
       // The production loop skips this recompute for pure catalysis; the
       // reference never does. RNG consumption is identical either way.
       const double a_new = system.propensity(dep, counts, options.omega);
@@ -567,6 +622,99 @@ TEST(NextReactionStaleSkip, MatchesAlwaysRecomputeReference) {
     expect_ssa_results_bitwise(reference, compiled_run,
                                "seed " + std::to_string(seed) + " compiled");
   }
+}
+
+TEST(NextReactionStaleSkip, BlockedSkipMatchesReferenceAcrossThresholds) {
+  // Gated fixture at molecule-scale counts (omega = 1): thresholds of
+  // stoichiometry 1, 2 and 3 are crossed in both directions, so reactions
+  // keep switching between enabled and blocked.
+  ReactionNetwork net;
+  NetworkBuilder b(net);
+  b.reaction("3 A + B -> C", 0.4);     // 0: generic, thresholds 3 and 1
+  b.reaction("C -> 3 A + B", 0.5);     // 1
+  b.reaction("2 C -> D", 2.0);         // 2: dimer, threshold 2
+  b.reaction("D -> 2 C", 0.3);         // 3
+  b.reaction("A -> E", 0.5);           // 4
+  b.reaction("E -> A", 0.5);           // 5
+  b.reaction("2 E -> 2 E + F", 0.7);   // 6: catalysis gated at 2
+  b.reaction("F -> 0", 1.0);           // 7
+  net.set_initial(*net.find_species("A"), 9.0);
+  net.set_initial(*net.find_species("B"), 3.0);
+  net.set_initial(*net.find_species("E"), 3.0);
+
+  SsaOptions options;
+  options.method = SsaMethod::kNextReaction;
+  options.t_end = 200.0;
+  options.omega = 1.0;
+  options.record_interval = 0.5;
+  options.max_events = 200'000;
+
+  const MassActionSystem legacy(net);
+  ASSERT_EQ(CompiledSystem(legacy).kernel(0), ReactionKernel::kGeneric);
+  ASSERT_EQ(CompiledSystem(legacy).kernel(2), ReactionKernel::kDimer);
+  ASSERT_FALSE(legacy.affects_own_reactants(6));
+
+  for (const std::uint64_t seed : {1ull, 9ull, 42ull, 77ull}) {
+    const std::string context = "seed " + std::to_string(seed);
+    options.seed = seed;
+    BlockedStats stats;
+    const SsaResult reference = reference_nrm_always_recompute(
+        legacy, options, to_counts(net.initial_state(), options.omega),
+        &stats);
+    ASSERT_GT(reference.events, 500u) << context;
+
+    // The fixture must exercise what it is for: skippable updates, every
+    // threshold crossed both ways, and the generic and dimer reactions
+    // going enabled -> blocked -> enabled while firing.
+    EXPECT_GT(stats.skippable_updates, 0u) << context;
+    for (const std::uint32_t s : {1u, 2u, 3u}) {
+      EXPECT_GT(stats.fell_below[s], 0u) << context << " stoich " << s;
+      EXPECT_GT(stats.rose_to[s], 0u) << context << " stoich " << s;
+    }
+    for (const std::size_t j : {0u, 2u, 6u}) {
+      EXPECT_GT(stats.disabled[j], 0u) << context << " reaction " << j;
+      EXPECT_GT(stats.reenabled[j], 0u) << context << " reaction " << j;
+      EXPECT_GT(stats.firings[j], 0u) << context << " reaction " << j;
+    }
+
+    options.engine.kind = EngineKind::kLegacy;
+    expect_ssa_results_bitwise(reference, simulate_ssa(net, options),
+                               context + " legacy");
+    options.engine.kind = EngineKind::kCompiled;
+    expect_ssa_results_bitwise(reference, simulate_ssa(net, options),
+                               context + " compiled");
+  }
+}
+
+TEST(CompiledSystem, ReaderTableTransposesReactants) {
+  ReactionNetwork net;
+  NetworkBuilder b(net);
+  b.reaction("3 A + B -> C", 1.0);
+  b.reaction("2 C -> D", 1.0);
+  b.reaction("A -> E", 1.0);
+  b.reaction("0 -> A", 1.0);
+  const MassActionSystem legacy(net);
+  const CompiledSystem sys(legacy);
+  for (std::size_t i = 0; i < sys.species_count(); ++i) {
+    const auto readers = sys.dependents_of_species(i);
+    const auto stoich = sys.reader_stoich(i);
+    ASSERT_EQ(readers.size(), stoich.size());
+    const std::vector<std::uint32_t> expected = legacy.dependents_of_species(i);
+    EXPECT_EQ(std::vector<std::uint32_t>(readers.begin(), readers.end()),
+              expected);
+    std::uint32_t max_stoich = 0;
+    for (std::size_t k = 0; k < readers.size(); ++k) {
+      std::uint32_t want = 0;
+      for (const auto& [idx, st] :
+           legacy.compiled_reaction(readers[k]).reactants) {
+        if (idx == i) want = st;
+      }
+      EXPECT_EQ(stoich[k], want) << "species " << i << " reader " << k;
+      max_stoich = std::max(max_stoich, want);
+    }
+    EXPECT_EQ(sys.max_reactant_stoich(i), max_stoich) << "species " << i;
+  }
+  EXPECT_EQ(sys.max_reactant_stoich(net.find_species("A")->index()), 3u);
 }
 
 // ---------------------------------------------------------------------------
