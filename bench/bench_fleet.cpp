@@ -27,7 +27,6 @@
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -174,11 +173,6 @@ class ShardProcess {
   std::uint16_t port_ = 0;
 };
 
-/// Runs the ensemble on the given shard endpoints with at most
-/// `max_attempts` per slice; an empty golden is filled with the report.
-using RunFn = std::function<Sample(std::vector<fleet::Endpoint>, std::size_t,
-                                   std::string&)>;
-
 fleet::EnsembleSpec bench_spec() {
   fleet::EnsembleSpec spec;
   spec.design = "counter";
@@ -189,31 +183,38 @@ fleet::EnsembleSpec bench_spec() {
   return spec;
 }
 
-/// Runs the ensemble once on `shards` fresh shard processes.
-Sample run_once(std::size_t shards, std::size_t max_attempts,
-                std::string& golden, const RunFn& run) {
+/// Runs the ensemble once on `shards` fresh shard processes. With `chaos`,
+/// every shard sits behind a proxy that drops, delays, and truncates on a
+/// seeded schedule; the proxies start after the shards are forked. An
+/// empty `golden` is filled with the report.
+Sample run_once(std::size_t shards, bool chaos, std::string& golden) {
   std::vector<std::unique_ptr<ShardProcess>> processes;
   std::vector<fleet::Endpoint> endpoints;
   for (std::size_t i = 0; i < shards; ++i) {
     processes.push_back(std::make_unique<ShardProcess>());
     endpoints.push_back(processes.back()->endpoint());
   }
-  Sample sample = run(endpoints, max_attempts, golden);
-  double cpu_ms = 0.0;
-  for (const auto& process : processes) cpu_ms += process->stop();
-  sample.cpu_ms_per_shard = cpu_ms / static_cast<double>(shards);
-  return sample;
-}
+  std::vector<std::unique_ptr<fleet::ChaosProxy>> proxies;
+  if (chaos) {
+    fleet::ChaosFaults faults;
+    faults.drop = 0.15;
+    faults.truncate = 0.15;
+    faults.delay = 0.1;
+    faults.delay_ms = 5.0;
+    for (std::size_t i = 0; i < shards; ++i) {
+      proxies.push_back(
+          std::make_unique<fleet::ChaosProxy>(endpoints[i], faults, 11 + i));
+      proxies.back()->start();
+      endpoints[i] = {"127.0.0.1", proxies.back()->port()};
+    }
+  }
 
-Sample run_clean(std::vector<fleet::Endpoint> endpoints,
-                 std::size_t max_attempts, std::string& golden) {
   fleet::FleetOptions options;
-  options.shards = std::move(endpoints);
-  options.max_attempts = max_attempts;
+  options.shards = endpoints;
+  options.max_attempts = chaos ? 10 : 4;
   options.backoff.base_ms = 2.0;
   options.backoff.cap_ms = 50.0;
   fleet::FleetClient client(options);
-
   const double cpu0 = process_cpu_ms();
   const auto start = std::chrono::steady_clock::now();
   const std::string report = fleet::run_ensemble(client, bench_spec());
@@ -223,27 +224,11 @@ Sample run_clean(std::vector<fleet::Endpoint> endpoints,
   sample.counters = client.counters();
   if (golden.empty()) golden = report;
   sample.byte_identical = report == golden;
-  return sample;
-}
 
-/// Both shards behind proxies that drop, delay, and truncate on a seeded
-/// schedule; the proxies start after the shard processes are forked.
-Sample run_chaos(std::vector<fleet::Endpoint> endpoints,
-                 std::size_t max_attempts, std::string& golden) {
-  fleet::ChaosFaults faults;
-  faults.drop = 0.15;
-  faults.truncate = 0.15;
-  faults.delay = 0.1;
-  faults.delay_ms = 5.0;
-  fleet::ChaosProxy proxy_a(endpoints[0], faults, 11);
-  fleet::ChaosProxy proxy_b(endpoints[1], faults, 12);
-  proxy_a.start();
-  proxy_b.start();
-  Sample sample = run_clean({{"127.0.0.1", proxy_a.port()},
-                             {"127.0.0.1", proxy_b.port()}},
-                            max_attempts, golden);
-  proxy_a.stop();
-  proxy_b.stop();
+  for (const auto& proxy : proxies) proxy->stop();
+  double cpu_ms = 0.0;
+  for (const auto& process : processes) cpu_ms += process->stop();
+  sample.cpu_ms_per_shard = cpu_ms / static_cast<double>(shards);
   return sample;
 }
 
@@ -252,17 +237,16 @@ double median(std::vector<double> values) {
   return values[values.size() / 2];
 }
 
-Row measure(const std::string& label, std::size_t shards,
-            std::size_t max_attempts, std::string& golden, const RunFn& run) {
+Row measure(std::size_t shards, bool chaos, std::string& golden) {
   std::vector<Sample> samples;
   for (int r = 0; r < kRepeats; ++r) {
-    samples.push_back(run_once(shards, max_attempts, golden, run));
+    samples.push_back(run_once(shards, chaos, golden));
   }
   std::vector<double> wall;
   std::vector<double> cpu;
   std::vector<double> client;
   Row row;
-  row.label = label;
+  row.label = chaos ? "chaos" : "clean";
   row.shards = shards;
   row.byte_identical = true;
   for (const Sample& s : samples) {
@@ -318,10 +302,10 @@ int main() {
   // is compared against.
   std::string golden;
   std::vector<Row> rows;
-  rows.push_back(measure("clean", 1, 4, golden, run_clean));
-  rows.push_back(measure("clean", 2, 4, golden, run_clean));
-  rows.push_back(measure("clean", 4, 4, golden, run_clean));
-  rows.push_back(measure("chaos", 2, 10, golden, run_chaos));
+  rows.push_back(measure(1, false, golden));
+  rows.push_back(measure(2, false, golden));
+  rows.push_back(measure(4, false, golden));
+  rows.push_back(measure(2, true, golden));
 
   std::printf("%-8s %7s %9s %9s %9s %13s %10s %10s %9s %8s %9s %6s\n",
               "label", "shards", "wall_ms", "min", "max", "slices_per_s",
