@@ -4,8 +4,9 @@
 // Every point is resolved through the same ScenarioRegistry the CLIs use, so
 // the sweep measures the real end-to-end path: build the design (compile),
 // run the full static-check registry over it (lint), integrate the ODE
-// semantics for a fixed horizon (sim), and hold the compiled engine to
-// bitwise equivalence with the legacy paths for one seed (verify).
+// semantics for a fixed horizon (sim), and hold the engine's compiled rate
+// law to bitwise equivalence with the reference rate law for one seed
+// (verify).
 //
 // Writes BENCH_scale.json (path overridable via MRSC_BENCH_SCALE_JSON).
 #include <chrono>
@@ -77,9 +78,6 @@ Point measure(const std::string& generator, std::size_t n) {
 
   start = std::chrono::steady_clock::now();
   verify::EngineEquivalenceOptions equivalence;
-  equivalence.t_end = 1.0;
-  equivalence.record_interval = 0.1;
-  equivalence.omega = 50.0;
   equivalence.seed = 1;
   const auto violations = verify::check_engine_equivalence(net, equivalence);
   point.verify_ms = elapsed_ms(start);

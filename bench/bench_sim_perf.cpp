@@ -6,17 +6,20 @@
 // in for the authors' testbed characterization.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "async/chain.hpp"
 #include "core/network.hpp"
 #include "dsp/filters.hpp"
 #include "runtime/ensemble.hpp"
-#include "sim/mass_action.hpp"
+#include "sim/engine/compiled_system.hpp"
 #include "sim/ode.hpp"
 #include "sim/ssa.hpp"
 #include "sync/clock.hpp"
@@ -38,7 +41,7 @@ core::ReactionNetwork chain_network(std::size_t elements) {
 void BM_RhsEvaluation(benchmark::State& state) {
   const core::ReactionNetwork net =
       chain_network(static_cast<std::size_t>(state.range(0)));
-  const sim::MassActionSystem system(net);
+  const sim::CompiledSystem system(net);
   std::vector<double> x = net.initial_state();
   std::vector<double> dxdt(x.size());
   for (auto _ : state) {
@@ -55,7 +58,7 @@ BENCHMARK(BM_RhsEvaluation)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 void BM_JacobianAssembly(benchmark::State& state) {
   const core::ReactionNetwork net =
       chain_network(static_cast<std::size_t>(state.range(0)));
-  const sim::MassActionSystem system(net);
+  const sim::CompiledSystem system(net);
   std::vector<double> x = net.initial_state();
   util::Matrix jac;
   for (auto _ : state) {
@@ -146,7 +149,7 @@ BENCHMARK(BM_CompileMovingAverage);
 // runs the identical seed set (stream-derived from base_seed), so the work is
 // constant and the scaling is pure scheduling. The direct method recomputes
 // every propensity on every event, which is the propensity-bound regime the
-// compiled engine's hoisted scale factors and CSR kernels target.
+// engine's hoisted scale factors and CSR kernels target.
 sim::SsaOptions ensemble_ssa_options() {
   sim::SsaOptions ssa;
   ssa.t_end = 10.0;
@@ -183,92 +186,61 @@ BENCHMARK(BM_SsaEnsemble)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Compiled-vs-legacy engine on the identical single-replicate workload (same
-// seed set, same method). The compiled engine's win is per-event: hoisted
-// omega^(1-order) scale factors, CSR propensity kernels, and one shared
-// dependency graph instead of a per-run rebuild.
-void BM_SsaEngineComparison(benchmark::State& state) {
-  const core::ReactionNetwork net = ensemble_network();
-  sim::SsaOptions options = ensemble_ssa_options();
-  options.engine.kind = state.range(0) == 0 ? sim::EngineKind::kLegacy
-                                            : sim::EngineKind::kCompiled;
-  std::uint64_t events = 0;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    options.seed = seed++;
-    const sim::SsaResult result = simulate_ssa(net, options);
-    events += result.events;
-    benchmark::DoNotOptimize(result.final_counts.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  state.SetLabel(to_string(options.engine.kind));
-}
-BENCHMARK(BM_SsaEngineComparison)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-/// Measures a 64-replicate ensemble at 1/2/4/8 workers — under both the
-/// compiled and the legacy engine — and writes BENCH_runtime.json (path
-/// overridable via MRSC_BENCH_RUNTIME_JSON), so the perf trajectory of the
-/// batch runtime has a tracked baseline. The top-level keys (wall_seconds,
-/// jobs_per_sec, ok) are the compiled engine, which is the production
-/// default; the legacy_* keys and per-point speedup record what the engine
-/// rewrite buys on the identical workload.
+/// Measures a 64-replicate ensemble at 1/2/4/8 workers and writes
+/// BENCH_runtime.json (path overridable via MRSC_BENCH_RUNTIME_JSON), so the
+/// perf trajectory of the batch runtime has a tracked baseline. Each point
+/// is the median wall time of kRepeats runs with its min and max; the
+/// report records the host's core count, since worker scaling is bounded by
+/// it.
 void write_runtime_baseline() {
+  constexpr int kRepeats = 5;
+  constexpr std::size_t kReplicates = 64;
   const char* path_env = std::getenv("MRSC_BENCH_RUNTIME_JSON");
   const std::string path = path_env ? path_env : "BENCH_runtime.json";
   const core::ReactionNetwork net = ensemble_network();
 
-  struct Measurement {
-    double wall = 0.0;
-    std::size_t ok = 0;
-  };
-  auto measure = [&](sim::EngineKind kind, std::size_t workers) {
-    sim::SsaOptions ssa = ensemble_ssa_options();
-    ssa.engine.kind = kind;
-    runtime::EnsembleOptions options;
-    options.replicates = 64;
-    options.base_seed = 1;
-    options.batch.threads = workers;
-    const auto start = std::chrono::steady_clock::now();
-    const runtime::EnsembleResult result =
-        runtime::run_ssa_ensemble(net, ssa, options);
-    Measurement m;
-    m.wall = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           start)
-                 .count();
-    m.ok = result.ok;
-    return m;
-  };
-
   std::string json = "{\n  \"benchmark\": \"ssa_ensemble_64\",\n"
-                     "  \"replicates\": 64,\n  \"points\": [\n";
+                     "  \"replicates\": 64,\n  \"repeats\": " +
+                     std::to_string(kRepeats) + ",\n  \"nproc\": " +
+                     std::to_string(std::thread::hardware_concurrency()) +
+                     ",\n  \"points\": [\n";
   const std::size_t worker_counts[] = {1, 2, 4, 8};
   bool first = true;
   std::printf(
-      "\nbatch runtime baseline (64-replicate SSA ensemble, "
-      "compiled vs legacy engine):\n");
-  std::printf("  %-8s %-12s %-12s %-14s %s\n", "workers", "wall [s]",
-              "jobs/sec", "legacy [s]", "engine speedup");
+      "\nbatch runtime baseline (64-replicate SSA ensemble, median of %d "
+      "runs):\n",
+      kRepeats);
+  std::printf("  %-8s %-12s %-12s %-12s %s\n", "workers", "wall [s]",
+              "min [s]", "max [s]", "jobs/sec");
   for (const std::size_t workers : worker_counts) {
-    const Measurement compiled =
-        measure(sim::EngineKind::kCompiled, workers);
-    const Measurement legacy = measure(sim::EngineKind::kLegacy, workers);
-    const double throughput = 64.0 / compiled.wall;
-    const double legacy_throughput = 64.0 / legacy.wall;
-    const double speedup = legacy.wall / compiled.wall;
-    std::printf("  %-8zu %-12.3f %-12.1f %-14.3f %.2fx  (%zu ok)\n", workers,
-                compiled.wall, throughput, legacy.wall, speedup, compiled.ok);
+    runtime::EnsembleOptions options;
+    options.replicates = kReplicates;
+    options.base_seed = 1;
+    options.batch.threads = workers;
+    std::vector<double> walls;
+    std::size_t ok = 0;
+    for (int r = 0; r < kRepeats; ++r) {
+      const auto start = std::chrono::steady_clock::now();
+      const runtime::EnsembleResult result =
+          runtime::run_ssa_ensemble(net, ensemble_ssa_options(), options);
+      walls.push_back(std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+      ok = result.ok;
+    }
+    std::sort(walls.begin(), walls.end());
+    const double wall = walls[walls.size() / 2];
+    const double throughput = static_cast<double>(kReplicates) / wall;
+    std::printf("  %-8zu %-12.3f %-12.3f %-12.3f %.1f  (%zu ok)\n", workers,
+                wall, walls.front(), walls.back(), throughput, ok);
     char buffer[320];
     std::snprintf(
         buffer, sizeof buffer,
         "%s    {\"workers\": %zu, \"wall_seconds\": %.6f, "
-        "\"jobs_per_sec\": %.3f, \"ok\": %zu,\n"
-        "     \"legacy_wall_seconds\": %.6f, \"legacy_jobs_per_sec\": %.3f, "
-        "\"speedup\": %.3f}",
-        first ? "" : ",\n", workers, compiled.wall, throughput, compiled.ok,
-        legacy.wall, legacy_throughput, speedup);
+        "\"wall_seconds_min\": %.6f, \"wall_seconds_max\": %.6f, "
+        "\"jobs_per_sec\": %.3f, \"ok\": %zu}",
+        first ? "" : ",\n", workers, wall, walls.front(), walls.back(),
+        throughput, ok);
     json += buffer;
     first = false;
   }

@@ -18,14 +18,26 @@ ReactionKernel classify(std::span<const std::uint32_t> species,
   return ReactionKernel::kGeneric;
 }
 
+/// Sorts (species, coefficient) terms by species and sums the coefficients
+/// of a species listed more than once.
+void merge_terms(std::vector<std::pair<std::uint32_t, std::int64_t>>& terms) {
+  std::ranges::sort(terms);
+  std::size_t kept = 0;
+  for (const auto& term : terms) {
+    if (kept > 0 && terms[kept - 1].first == term.first) {
+      terms[kept - 1].second += term.second;
+    } else {
+      terms[kept++] = term;
+    }
+  }
+  terms.resize(kept);
+}
+
 }  // namespace
 
 CompiledSystem::CompiledSystem(const core::ReactionNetwork& network)
-    : CompiledSystem(MassActionSystem(network)) {}
-
-CompiledSystem::CompiledSystem(const MassActionSystem& system)
-    : species_count_(system.species_count()) {
-  const std::size_t m = system.reaction_count();
+    : species_count_(network.species_count()) {
+  const std::size_t m = network.reaction_count();
   rates_.reserve(m);
   orders_.reserve(m);
   kernels_.reserve(m);
@@ -36,41 +48,69 @@ CompiledSystem::CompiledSystem(const MassActionSystem& system)
   reactant_offsets_.push_back(0);
   net_offsets_.push_back(0);
   dep_offsets_.push_back(0);
-
+  // Allocate each CSR table once, at its size before merging. Grown by
+  // doubling, the tables land scattered over the heap, which measurably
+  // slowed the next-reaction loop that reads them on every event.
+  std::size_t reactant_terms = 0;
+  std::size_t net_terms = 0;
   for (std::size_t j = 0; j < m; ++j) {
-    const CompiledReaction& r = system.compiled_reaction(j);
-    rates_.push_back(r.rate);
-    orders_.push_back(r.order);
+    const core::Reaction& r = network.reaction(
+        core::ReactionId{static_cast<core::ReactionId::underlying_type>(j)});
+    reactant_terms += r.reactants().size();
+    net_terms += r.reactants().size() + r.products().size();
+  }
+  reactant_species_.reserve(reactant_terms);
+  reactant_stoich_.reserve(reactant_terms);
+  net_species_.reserve(net_terms);
+  net_delta_.reserve(net_terms);
 
-    for (const auto& [idx, stoich] : r.reactants) {
+  std::vector<std::pair<std::uint32_t, std::int64_t>> terms;
+  for (std::size_t j = 0; j < m; ++j) {
+    const core::Reaction& r = network.reaction(
+        core::ReactionId{static_cast<core::ReactionId::underlying_type>(j)});
+    rates_.push_back(network.effective_rate(r));
+    orders_.push_back(r.order());
+
+    terms.clear();
+    for (const core::Term& t : r.reactants()) {
+      terms.emplace_back(static_cast<std::uint32_t>(t.species.index()),
+                         t.stoich);
+    }
+    merge_terms(terms);
+    for (const auto& [idx, stoich] : terms) {
       reactant_species_.push_back(idx);
-      reactant_stoich_.push_back(stoich);
+      reactant_stoich_.push_back(static_cast<std::uint32_t>(stoich));
     }
     reactant_offsets_.push_back(
         static_cast<std::uint32_t>(reactant_species_.size()));
 
+    terms.clear();
+    for (const core::Term& t : r.products()) {
+      terms.emplace_back(static_cast<std::uint32_t>(t.species.index()),
+                         t.stoich);
+    }
+    for (const core::Term& t : r.reactants()) {
+      terms.emplace_back(static_cast<std::uint32_t>(t.species.index()),
+                         -static_cast<std::int64_t>(t.stoich));
+    }
+    merge_terms(terms);
+    const std::span<const std::uint32_t> reads = reactant_species(j);
     bool own = false;
-    for (const auto& [idx, delta] : r.net_changes) {
+    for (const auto& [idx, delta] : terms) {
+      if (delta == 0) continue;
       net_species_.push_back(idx);
-      net_delta_.push_back(delta);
-      for (const auto& [r_idx, r_stoich] : r.reactants) {
-        if (r_idx == idx) own = true;
-      }
+      net_delta_.push_back(static_cast<std::int32_t>(delta));
+      own = own || std::ranges::binary_search(reads, idx);
     }
     net_offsets_.push_back(static_cast<std::uint32_t>(net_species_.size()));
     affects_own_.push_back(own ? 1 : 0);
 
-    kernels_.push_back(classify(reactant_species(j), reactant_stoich(j)));
-
-    for (std::uint32_t dep : system.affected_reactions(j)) {
-      dep_reactions_.push_back(dep);
-    }
-    dep_offsets_.push_back(static_cast<std::uint32_t>(dep_reactions_.size()));
+    kernels_.push_back(classify(reads, reactant_stoich(j)));
   }
 
   // Transpose the reactant CSR into the species -> reader CSR (a counting
   // sort: reactions are visited in ascending order, so each species' reader
-  // list comes out sorted, as MassActionSystem::dependents_of_species is).
+  // list comes out sorted).
   species_dep_offsets_.assign(species_count_ + 1, 0);
   max_reactant_stoich_.assign(species_count_, 0);
   for (std::size_t k = 0; k < reactant_species_.size(); ++k) {
@@ -93,6 +133,25 @@ CompiledSystem::CompiledSystem(const MassActionSystem& system)
       species_dep_reactions_[slot] = static_cast<std::uint32_t>(j);
       species_dep_stoich_[slot] = reactant_stoich_[k];
     }
+  }
+
+  // Next-reaction dependency graph: firing j re-draws j itself and every
+  // reaction reading a species j changes; each listed once, sorted.
+  std::vector<std::size_t> listed_for(m, m);
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::size_t begin = dep_reactions_.size();
+    dep_reactions_.push_back(static_cast<std::uint32_t>(j));
+    listed_for[j] = j;
+    for (const std::uint32_t changed : net_species(j)) {
+      for (const std::uint32_t reader : dependents_of_species(changed)) {
+        if (listed_for[reader] == j) continue;
+        listed_for[reader] = j;
+        dep_reactions_.push_back(reader);
+      }
+    }
+    std::sort(dep_reactions_.begin() + static_cast<std::ptrdiff_t>(begin),
+              dep_reactions_.end());
+    dep_offsets_.push_back(static_cast<std::uint32_t>(dep_reactions_.size()));
   }
 }
 
@@ -172,8 +231,9 @@ void CompiledSystem::jacobian(std::span<const double> x,
 
 void CompiledSystem::scaled_rates(double omega, std::span<double> out) const {
   for (std::size_t j = 0; j < rates_.size(); ++j) {
-    // Identical operands and operation as the legacy per-call computation, so
-    // hoisting it out of the event loop cannot change a single bit.
+    // Identical operands and operation as the per-call form in
+    // `propensity`, so hoisting it out of the event loop cannot change a
+    // single bit.
     out[j] =
         rates_[j] * std::pow(omega, 1.0 - static_cast<double>(orders_[j]));
   }
@@ -183,9 +243,9 @@ double CompiledSystem::propensity_scaled(std::size_t j,
                                          std::span<const std::int64_t> n,
                                          double scaled) const {
   const std::uint32_t begin = reactant_offsets_[j];
-  // Each specialization reproduces the legacy falling-factorial loop for its
-  // shape: counts multiplied left-to-right in species-sorted order, with the
-  // legacy's exact early-out (<= 0 check before each multiply) folded in.
+  // Each specialization reproduces the generic falling-factorial loop below
+  // for its shape: counts multiplied left-to-right in species-sorted order,
+  // with its exact early-out (<= 0 check before each multiply) folded in.
   switch (kernels_[j]) {
     case ReactionKernel::kUnimolecular: {
       const std::int64_t c = n[reactant_species_[begin]];

@@ -93,14 +93,10 @@ class RunContext {
   bool aborted_ = false;
 };
 
-// The integrators are templated over the system so the legacy
-// (MassActionSystem) and compiled (CompiledSystem) engines share one stepper;
-// both provide bitwise-identical rhs/jacobian, so the integrators produce
-// bitwise-identical trajectories under either engine. Stage temporaries come
-// from a per-run arena so a run's scratch arrays sit in one contiguous block.
+// Stage temporaries come from a per-run arena so a run's scratch arrays sit
+// in one contiguous block.
 
-template <class System>
-OdeResult run_rk4(const System& system, const OdeOptions& options,
+OdeResult run_rk4(const CompiledSystem& system, const OdeOptions& options,
                   std::vector<double> x, std::span<Observer* const> observers) {
   const std::size_t n = system.species_count();
   OdeResult result;
@@ -160,8 +156,7 @@ constexpr double kE1 = kB1 - 5179.0 / 57600.0, kE3 = kB3 - 7571.0 / 16695.0,
                  kE4 = kB4 - 393.0 / 640.0, kE5 = kB5 + 92097.0 / 339200.0,
                  kE6 = kB6 - 187.0 / 2100.0, kE7 = -1.0 / 40.0;
 
-template <class System>
-OdeResult run_dp45(const System& system, const OdeOptions& options,
+OdeResult run_dp45(const CompiledSystem& system, const OdeOptions& options,
                    std::vector<double> x,
                    std::span<Observer* const> observers) {
   const std::size_t n = system.species_count();
@@ -270,9 +265,8 @@ OdeResult run_dp45(const System& system, const OdeOptions& options,
 // a fresh Jacobian and LU on every iteration.
 constexpr double kChordContraction = 0.1;
 
-template <class System>
-OdeResult run_backward_euler(const System& system, const OdeOptions& options,
-                             std::vector<double> x,
+OdeResult run_backward_euler(const CompiledSystem& system,
+                             const OdeOptions& options, std::vector<double> x,
                              std::span<Observer* const> observers) {
   const std::size_t n = system.species_count();
   OdeResult result;
@@ -373,10 +367,19 @@ OdeResult run_backward_euler(const System& system, const OdeOptions& options,
   return result;
 }
 
-template <class System>
-OdeResult dispatch_method(const System& system, const OdeOptions& options,
-                          std::vector<double> initial,
-                          std::span<Observer* const> observers) {
+}  // namespace
+
+OdeResult simulate_ode(const core::ReactionNetwork& network,
+                       const OdeOptions& options, std::vector<double> initial,
+                       std::span<Observer* const> observers) {
+  if (initial.empty()) initial = network.initial_state();
+  const CompiledSystem system(network);
+  return simulate_ode(system, options, std::move(initial), observers);
+}
+
+OdeResult simulate_ode(const CompiledSystem& system, const OdeOptions& options,
+                       std::vector<double> initial,
+                       std::span<Observer* const> observers) {
   if (initial.size() != system.species_count()) {
     throw std::invalid_argument("simulate_ode: initial state size mismatch");
   }
@@ -393,32 +396,6 @@ OdeResult dispatch_method(const System& system, const OdeOptions& options,
                                 observers);
   }
   throw std::logic_error("simulate_ode: unknown method");
-}
-
-}  // namespace
-
-OdeResult simulate_ode(const core::ReactionNetwork& network,
-                       const OdeOptions& options, std::vector<double> initial,
-                       std::span<Observer* const> observers) {
-  if (initial.empty()) initial = network.initial_state();
-  if (options.engine.kind == EngineKind::kCompiled) {
-    const CompiledSystem system(network);
-    return simulate_ode(system, options, std::move(initial), observers);
-  }
-  const MassActionSystem system(network);
-  return simulate_ode(system, options, std::move(initial), observers);
-}
-
-OdeResult simulate_ode(const MassActionSystem& system,
-                       const OdeOptions& options, std::vector<double> initial,
-                       std::span<Observer* const> observers) {
-  return dispatch_method(system, options, std::move(initial), observers);
-}
-
-OdeResult simulate_ode(const CompiledSystem& system, const OdeOptions& options,
-                       std::vector<double> initial,
-                       std::span<Observer* const> observers) {
-  return dispatch_method(system, options, std::move(initial), observers);
 }
 
 }  // namespace mrsc::sim

@@ -156,146 +156,18 @@ class SsaRecorder {
   double next_sample_ = 0.0;
 };
 
-// The three steppers below are templated over an evaluator so the legacy
-// (MassActionSystem) and compiled (CompiledSystem) engines share one stepper
-// implementation. Both evaluators perform identical floating-point operation
-// sequences; the engines differ only in data layout and in where the
-// propensity scale factor k * omega^(1-order) is computed (per call vs hoisted
-// per run), neither of which can change a bit of the result.
+// The three steppers read the network through the shared, read-only
+// CompiledSystem and the run's propensity scale factors k * omega^(1-order),
+// hoisted out of the event loop and carved from the run arena.
 
-/// Legacy evaluator: forwards to MassActionSystem, recomputing the propensity
-/// scale factor on every call exactly as the original code did. It derives
-/// the species -> (reader, stoichiometry) table that CompiledSystem stores
-/// from the reactant lists.
-class LegacyEval {
- public:
-  LegacyEval(const MassActionSystem& system, double omega)
-      : system_(system),
-        omega_(omega),
-        readers_(system.species_count()),
-        max_stoich_(system.species_count(), 0) {
-    for (std::size_t j = 0; j < system.reaction_count(); ++j) {
-      for (const auto& [idx, stoich] : system.compiled_reaction(j).reactants) {
-        readers_[idx].emplace_back(static_cast<std::uint32_t>(j), stoich);
-        max_stoich_[idx] = std::max(max_stoich_[idx], stoich);
-      }
-    }
-  }
-
-  [[nodiscard]] std::size_t reaction_count() const {
-    return system_.reaction_count();
-  }
-  [[nodiscard]] std::size_t species_count() const {
-    return system_.species_count();
-  }
-  [[nodiscard]] double propensity(std::size_t j,
-                                  std::span<const std::int64_t> n) const {
-    return system_.propensity(j, n, omega_);
-  }
-  void apply(std::size_t j, std::span<std::int64_t> n) const {
-    system_.apply(j, n);
-  }
-  [[nodiscard]] std::span<const std::uint32_t> affected(std::size_t j) const {
-    return system_.affected_reactions(j);
-  }
-  [[nodiscard]] bool affects_own_reactants(std::size_t j) const {
-    return system_.affects_own_reactants(j);
-  }
-  template <class F>
-  void for_each_reactant(std::size_t j, F&& f) const {
-    for (const auto& [idx, stoich] : system_.compiled_reaction(j).reactants) {
-      f(idx, stoich);
-    }
-  }
-  template <class F>
-  void for_each_net_change(std::size_t j, F&& f) const {
-    for (const auto& [idx, delta] : system_.compiled_reaction(j).net_changes) {
-      f(idx, delta);
-    }
-  }
-  template <class F>
-  void for_each_reader(std::size_t i, F&& f) const {
-    for (const auto& [reaction, stoich] : readers_[i]) f(reaction, stoich);
-  }
-  [[nodiscard]] std::uint32_t max_reactant_stoich(std::size_t i) const {
-    return max_stoich_[i];
-  }
-
- private:
-  const MassActionSystem& system_;
-  double omega_;
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> readers_;
-  std::vector<std::uint32_t> max_stoich_;
-};
-
-/// Compiled evaluator: CSR tables plus per-run hoisted scale factors carved
-/// from the run arena. The referenced CompiledSystem is strictly read-only,
-/// so one instance is safely shared across concurrent replicates.
-class CompiledEval {
- public:
-  CompiledEval(const CompiledSystem& system, double omega, Arena& arena)
-      : system_(system),
-        scaled_(arena.alloc<double>(system.reaction_count())) {
-    system_.scaled_rates(omega, scaled_);
-  }
-
-  [[nodiscard]] std::size_t reaction_count() const {
-    return system_.reaction_count();
-  }
-  [[nodiscard]] std::size_t species_count() const {
-    return system_.species_count();
-  }
-  [[nodiscard]] double propensity(std::size_t j,
-                                  std::span<const std::int64_t> n) const {
-    return system_.propensity_scaled(j, n, scaled_[j]);
-  }
-  void apply(std::size_t j, std::span<std::int64_t> n) const {
-    system_.apply(j, n);
-  }
-  [[nodiscard]] std::span<const std::uint32_t> affected(std::size_t j) const {
-    return system_.affected_reactions(j);
-  }
-  [[nodiscard]] bool affects_own_reactants(std::size_t j) const {
-    return system_.affects_own_reactants(j);
-  }
-  template <class F>
-  void for_each_reactant(std::size_t j, F&& f) const {
-    const auto species = system_.reactant_species(j);
-    const auto stoich = system_.reactant_stoich(j);
-    for (std::size_t k = 0; k < species.size(); ++k) {
-      f(species[k], stoich[k]);
-    }
-  }
-  template <class F>
-  void for_each_net_change(std::size_t j, F&& f) const {
-    const auto species = system_.net_species(j);
-    const auto delta = system_.net_delta(j);
-    for (std::size_t k = 0; k < species.size(); ++k) f(species[k], delta[k]);
-  }
-  template <class F>
-  void for_each_reader(std::size_t i, F&& f) const {
-    const auto reactions = system_.dependents_of_species(i);
-    const auto stoich = system_.reader_stoich(i);
-    for (std::size_t k = 0; k < reactions.size(); ++k) {
-      f(reactions[k], stoich[k]);
-    }
-  }
-  [[nodiscard]] std::uint32_t max_reactant_stoich(std::size_t i) const {
-    return system_.max_reactant_stoich(i);
-  }
-
- private:
-  const CompiledSystem& system_;
-  std::span<double> scaled_;
-};
-
-template <class Eval>
-SsaResult run_direct(const Eval& eval, const SsaOptions& options,
+SsaResult run_direct(const CompiledSystem& system,
+                     std::span<const double> scaled,
+                     const SsaOptions& options,
                      std::vector<std::int64_t> counts) {
   util::Rng rng(options.seed);
-  const std::size_t m = eval.reaction_count();
+  const std::size_t m = system.reaction_count();
   SsaResult result;
-  SsaRecorder recorder(options, eval.species_count());
+  SsaRecorder recorder(options, system.species_count());
   recorder.record_initial(counts);
 
   AbortPoll abort(options);
@@ -308,7 +180,7 @@ SsaResult run_direct(const Eval& eval, const SsaOptions& options,
     }
     double total = 0.0;
     for (std::size_t j = 0; j < m; ++j) {
-      propensities[j] = eval.propensity(j, counts);
+      propensities[j] = system.propensity_scaled(j, counts, scaled[j]);
       total += propensities[j];
     }
     if (total <= 0.0) {
@@ -332,7 +204,7 @@ SsaResult run_direct(const Eval& eval, const SsaOptions& options,
       }
     }
     recorder.before_event(t_next, counts);
-    eval.apply(chosen, counts);
+    system.apply(chosen, counts);
     t = t_next;
     ++result.events;
   }
@@ -345,13 +217,14 @@ SsaResult run_direct(const Eval& eval, const SsaOptions& options,
   return result;
 }
 
-template <class Eval>
-SsaResult run_next_reaction(const Eval& eval, const SsaOptions& options,
+SsaResult run_next_reaction(const CompiledSystem& system,
+                            std::span<const double> scaled,
+                            const SsaOptions& options,
                             std::vector<std::int64_t> counts, Arena& arena) {
   util::Rng rng(options.seed);
-  const std::size_t m = eval.reaction_count();
+  const std::size_t m = system.reaction_count();
   SsaResult result;
-  SsaRecorder recorder(options, eval.species_count());
+  SsaRecorder recorder(options, system.species_count());
   recorder.record_initial(counts);
   AbortPoll abort(options);
 
@@ -359,14 +232,18 @@ SsaResult run_next_reaction(const Eval& eval, const SsaOptions& options,
   // blocked reaction's propensity is exactly 0.0.
   const std::span<std::uint32_t> blocked = arena.alloc<std::uint32_t>(m);
   for (std::size_t j = 0; j < m; ++j) {
-    eval.for_each_reactant(j, [&](std::uint32_t idx, std::uint32_t stoich) {
-      if (counts[idx] < static_cast<std::int64_t>(stoich)) ++blocked[j];
-    });
+    const auto species = system.reactant_species(j);
+    const auto stoich = system.reactant_stoich(j);
+    for (std::size_t k = 0; k < species.size(); ++k) {
+      if (counts[species[k]] < static_cast<std::int64_t>(stoich[k])) {
+        ++blocked[j];
+      }
+    }
   }
 
   std::vector<double> propensities(m);
   IndexedTimeHeap heap(m, [&](std::size_t j) {
-    propensities[j] = eval.propensity(j, counts);
+    propensities[j] = system.propensity_scaled(j, counts, scaled[j]);
     return propensities[j] > 0.0 ? rng.exponential(propensities[j])
                                  : kInfinity;
   });
@@ -392,36 +269,41 @@ SsaResult run_next_reaction(const Eval& eval, const SsaOptions& options,
     // species whose count crossed one of their thresholds. A change that
     // stays at or above the species' largest reactant stoichiometry crosses
     // none.
-    eval.for_each_net_change(fired, [&](std::uint32_t i, std::int32_t delta) {
+    const auto changed = system.net_species(fired);
+    const auto delta = system.net_delta(fired);
+    for (std::size_t k = 0; k < changed.size(); ++k) {
+      const std::uint32_t i = changed[k];
       const std::int64_t before = counts[i];
-      const std::int64_t now = before + delta;
+      const std::int64_t now = before + delta[k];
       counts[i] = now;
       if (std::min(before, now) >=
-          static_cast<std::int64_t>(eval.max_reactant_stoich(i))) {
-        return;
+          static_cast<std::int64_t>(system.max_reactant_stoich(i))) {
+        continue;
       }
-      eval.for_each_reader(i, [&](std::uint32_t r, std::uint32_t stoich) {
-        const std::int64_t need = stoich;
-        blocked[r] += static_cast<std::uint32_t>(now < need) -
-                      static_cast<std::uint32_t>(before < need);
-      });
-    });
+      const auto readers = system.dependents_of_species(i);
+      const auto need = system.reader_stoich(i);
+      for (std::size_t r = 0; r < readers.size(); ++r) {
+        const std::int64_t threshold = need[r];
+        blocked[readers[r]] += static_cast<std::uint32_t>(now < threshold) -
+                               static_cast<std::uint32_t>(before < threshold);
+      }
+    }
     t = t_next;
     ++result.events;
 
     // Update every dependent reaction's propensity and firing time.
-    for (std::uint32_t dep : eval.affected(fired)) {
+    for (std::uint32_t dep : system.affected_reactions(fired)) {
       // Still blocked and already at 0.0: the recompute would give 0.0 again
       // and an infinite firing time, with no draw and no heap move.
       if (blocked[dep] != 0 && propensities[dep] == 0.0) continue;
       double a_new;
-      if (dep == fired && !eval.affects_own_reactants(fired)) {
+      if (dep == fired && !system.affects_own_reactants(fired)) {
         // Pure catalysis: firing left fired's own reactant counts untouched,
         // so its propensity is exactly the stored value — skip the recompute.
         // (It still needs a fresh exponential draw below.)
         a_new = propensities[fired];
       } else {
-        a_new = eval.propensity(dep, counts);
+        a_new = system.propensity_scaled(dep, counts, scaled[dep]);
       }
       double new_time;
       if (dep == fired) {
@@ -451,13 +333,14 @@ SsaResult run_next_reaction(const Eval& eval, const SsaOptions& options,
   return result;
 }
 
-template <class Eval>
-SsaResult run_tau_leaping(const Eval& eval, const SsaOptions& options,
+SsaResult run_tau_leaping(const CompiledSystem& system,
+                          std::span<const double> scaled,
+                          const SsaOptions& options,
                           std::vector<std::int64_t> counts) {
   util::Rng rng(options.seed);
-  const std::size_t m = eval.reaction_count();
+  const std::size_t m = system.reaction_count();
   SsaResult result;
-  SsaRecorder recorder(options, eval.species_count());
+  SsaRecorder recorder(options, system.species_count());
   recorder.record_initial(counts);
 
   double t = 0.0;
@@ -471,7 +354,7 @@ SsaResult run_tau_leaping(const Eval& eval, const SsaOptions& options,
     bool any_active = false;
     std::uint64_t fired_this_leap = 0;
     for (std::size_t j = 0; j < m; ++j) {
-      const double a = eval.propensity(j, counts);
+      const double a = system.propensity_scaled(j, counts, scaled[j]);
       if (a <= 0.0) continue;
       any_active = true;
       std::uint64_t firings = rng.poisson(a * tau);
@@ -479,13 +362,15 @@ SsaResult run_tau_leaping(const Eval& eval, const SsaOptions& options,
       // would drive counts negative, and naive clamping *mints* molecules —
       // a fast reversible pair (e.g. the feedback dimers 2G <-> I) then
       // amplifies the surplus into a runaway.
-      eval.for_each_reactant(j, [&](std::uint32_t idx, std::uint32_t stoich) {
+      const auto species = system.reactant_species(j);
+      const auto stoich = system.reactant_stoich(j);
+      for (std::size_t k = 0; k < species.size(); ++k) {
         const std::uint64_t cap =
-            static_cast<std::uint64_t>(counts[idx] / stoich);
+            static_cast<std::uint64_t>(counts[species[k]] / stoich[k]);
         firings = std::min(firings, cap);
-      });
+      }
       for (std::uint64_t f = 0; f < firings; ++f) {
-        eval.apply(j, counts);
+        system.apply(j, counts);
       }
       fired_this_leap += firings;
     }
@@ -521,20 +406,6 @@ void validate_options(std::size_t species_count, const SsaOptions& options,
   }
 }
 
-template <class Eval>
-SsaResult dispatch_method(const Eval& eval, const SsaOptions& options,
-                          std::vector<std::int64_t> counts, Arena& arena) {
-  switch (options.method) {
-    case SsaMethod::kDirect:
-      return run_direct(eval, options, std::move(counts));
-    case SsaMethod::kNextReaction:
-      return run_next_reaction(eval, options, std::move(counts), arena);
-    case SsaMethod::kTauLeaping:
-      return run_tau_leaping(eval, options, std::move(counts));
-  }
-  throw std::logic_error("simulate_ssa: unknown method");
-}
-
 }  // namespace
 
 std::vector<std::int64_t> to_counts(std::span<const double> concentrations,
@@ -554,31 +425,29 @@ SsaResult simulate_ssa(const core::ReactionNetwork& network,
   if (initial_concentrations.empty()) {
     initial_concentrations = network.initial_state();
   }
-  if (options.engine.kind == EngineKind::kCompiled) {
-    const CompiledSystem system(network);
-    return simulate_ssa(system, options,
-                        to_counts(initial_concentrations, options.omega));
-  }
-  const MassActionSystem system(network);
+  const CompiledSystem system(network);
   return simulate_ssa(system, options,
                       to_counts(initial_concentrations, options.omega));
-}
-
-SsaResult simulate_ssa(const MassActionSystem& system,
-                       const SsaOptions& options,
-                       std::vector<std::int64_t> initial_counts) {
-  validate_options(system.species_count(), options, initial_counts);
-  Arena arena;
-  const LegacyEval eval(system, options.omega);
-  return dispatch_method(eval, options, std::move(initial_counts), arena);
 }
 
 SsaResult simulate_ssa(const CompiledSystem& system, const SsaOptions& options,
                        std::vector<std::int64_t> initial_counts) {
   validate_options(system.species_count(), options, initial_counts);
   Arena arena;
-  const CompiledEval eval(system, options.omega, arena);
-  return dispatch_method(eval, options, std::move(initial_counts), arena);
+  const std::span<double> scaled =
+      arena.alloc<double>(system.reaction_count());
+  system.scaled_rates(options.omega, scaled);
+  switch (options.method) {
+    case SsaMethod::kDirect:
+      return run_direct(system, scaled, options, std::move(initial_counts));
+    case SsaMethod::kNextReaction:
+      return run_next_reaction(system, scaled, options,
+                               std::move(initial_counts), arena);
+    case SsaMethod::kTauLeaping:
+      return run_tau_leaping(system, scaled, options,
+                             std::move(initial_counts));
+  }
+  throw std::logic_error("simulate_ssa: unknown method");
 }
 
 }  // namespace mrsc::sim

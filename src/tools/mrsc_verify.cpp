@@ -14,10 +14,14 @@
 //   mrsc_verify --scenario SPEC [options]
 //
 // resolves the scenario ("counter", "cascade(3)", or a .mrsc file) through
-// the registry and sweeps the legacy-vs-compiled engine-equivalence oracle
-// over its network, one run per seed in [start-seed, start-seed + seeds).
-// The scenario's verify budget supplies default --seeds/--start-seed
-// (explicit flags win; bare specs default to seeds=3, start-seed=1).
+// the registry and sweeps the engine-equivalence oracle over its network:
+// for each seed in [start-seed, start-seed + seeds) it compares the
+// simulation engine's compiled rate law with the reference rate law, one
+// evaluation at a time, on the initial state and random states drawn from
+// that seed. The scenario's verify budget supplies default
+// --seeds/--start-seed (explicit flags win; bare specs default to seeds=3,
+// start-seed=1). Nothing is simulated, so the sim budget (t_end, record,
+// omega) is not read.
 //
 //   --seeds N          number of cases              (default 50)
 //   --start-seed S     first seed                   (default 0)
@@ -29,7 +33,7 @@
 //   --no-shrink        report failures unshrunk
 //   --no-differential  skip the SSA-ensemble oracles on raw cases
 //   --no-opt-equivalence  skip the kO1 compile-pipeline equivalence oracle
-//   --no-engine-equivalence  skip the legacy-vs-compiled engine oracle
+//   --no-engine-equivalence  skip the compiled-vs-reference rate-law oracle
 //   --json PATH        machine-readable failure report
 //   --regen-golden DIR recompute the golden traces into DIR and exit
 //   --verbose          print every case, not just failures
@@ -131,8 +135,8 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
 }
 
 // --scenario mode: sweep the engine-equivalence oracle over one resolved
-// design, one run per seed. The scenario's sim budget shapes the oracle run
-// (horizon, sampling grid, omega); its verify budget sets the seed sweep.
+// design, one pass per seed. The scenario's verify budget sets the seed
+// sweep.
 int run_scenario_verify(const CliOptions& cli) {
   scenario::ResolvedScenario resolved;
   try {
@@ -151,11 +155,6 @@ int run_scenario_verify(const CliOptions& cli) {
                                           : budget.start_seed.value_or(1);
 
   verify::EngineEquivalenceOptions oracle;
-  const scenario::SimBudget& sim = resolved.scenario.sim;
-  if (sim.t_end) oracle.t_end = *sim.t_end;
-  if (sim.record) oracle.record_interval = *sim.record;
-  if (sim.omega) oracle.omega = *sim.omega;
-
   const core::ReactionNetwork& network = *resolved.design.network;
   std::printf("scenario %s: %zu species, %zu reactions; engine-equivalence "
               "sweep over seeds [%llu, %llu)\n",
@@ -181,8 +180,8 @@ int run_scenario_verify(const CliOptions& cli) {
     }
   }
   std::printf("%zu/%zu seeds clean: %s\n", seeds - failed, seeds,
-              failed == 0 ? "engines agree"
-                          : "ENGINE DIVERGENCE — see above");
+              failed == 0 ? "rate law matches the reference"
+                          : "RATE LAW DIVERGES — see above");
   return failed == 0 ? 0 : 1;
 }
 

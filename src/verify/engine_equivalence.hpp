@@ -1,23 +1,26 @@
-// Legacy-vs-compiled engine equivalence oracle.
+// Engine-equivalence oracle: the compiled rate law against the reference.
 //
-// The compiled engine (src/sim/engine/) claims *bitwise* identity with the
-// legacy MassActionSystem paths — not statistical agreement, the same bits.
-// This oracle holds it to that claim on arbitrary networks:
+// The simulators evaluate mass-action kinetics through one engine,
+// `sim::CompiledSystem` (CSR tables, per-shape kernels, hoisted propensity
+// scale factors). It claims *bitwise* identity with the plain reference rate
+// law in mass_action.hpp, not statistical agreement: the same bits. This
+// oracle holds it to that claim on arbitrary networks, one evaluation at a
+// time, on the network's initial state plus seeded random states (exact
+// zeros and counts of 0 and 1 included, to reach the early-out paths):
 //
-//   1. SSA direct:        same seed, legacy vs compiled — trajectories,
-//                         event counts, and final counts must be identical.
-//   2. SSA next-reaction: same, through the dependency graph and the
-//                         stale-propensity skip.
-//   3. Fixed-step RK4:    trajectories identical sample-for-sample.
-//   4. Adaptive DP45:     tolerance-banded (the step controller makes this
-//                         leg nominally adaptive; in practice the band is
-//                         slack — the engines agree bitwise here too, and
-//                         the band exists to localize a future divergence
-//                         rather than to allow one).
+//   1. flux, rhs and the analytic Jacobian at concentrations x;
+//   2. propensity and propensity_scaled (through scaled_rates) at counts n
+//      for omega 1, 200 and 1e4;
+//   3. apply: the counts after one firing of each reaction;
+//   4. the structural tables: merged reactants and net changes, the
+//      next-reaction dependency graph, affects-own-reactants, the species ->
+//      (reader, stoichiometry) table and each species' largest reactant
+//      stoichiometry.
 //
-// The fuzz driver applies it to every generated case alongside the
-// opt-equivalence oracle, making the engine contract a permanent fixture of
-// the campaign rather than a one-off migration test.
+// What the steppers make of these evaluations is pinned separately, by the
+// frozen trajectory digests of tests/test_ssa_digest.cpp. The fuzz driver
+// runs this oracle on every generated case, and `mrsc_verify --scenario`
+// sweeps it over one design.
 #pragma once
 
 #include <cstdint>
@@ -29,23 +32,13 @@
 namespace mrsc::verify {
 
 struct EngineEquivalenceOptions {
-  /// Shared horizon and sampling grid for every leg.
-  double t_end = 2.0;
-  double record_interval = 0.05;
-  /// SSA volume scale and seed (both engines consume the identical stream).
-  double omega = 200.0;
+  /// Seed of the random states the evaluations are compared on.
   std::uint64_t seed = 1;
-  /// Event cap so fuzzed open networks terminate; both engines hit the cap
-  /// on the same event, so capped runs still compare exactly.
-  std::uint64_t max_events = 200'000;
-  /// Run the adaptive DP45 leg.
-  bool adaptive = true;
-  /// Pointwise band for the adaptive leg (see header comment).
-  double adaptive_tol = 1e-9;
 };
 
-/// Runs every leg and returns each discrepancy as a violation with oracle
-/// "engine_equivalence"; empty means the engines agreed.
+/// Runs every comparison and returns each discrepancy as a violation with
+/// oracle "engine_equivalence"; empty means the compiled rate law matched
+/// the reference bit for bit.
 [[nodiscard]] std::vector<Violation> check_engine_equivalence(
     const core::ReactionNetwork& network,
     const EngineEquivalenceOptions& options = {});

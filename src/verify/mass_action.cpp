@@ -1,11 +1,11 @@
-#include "sim/mass_action.hpp"
+#include "verify/mass_action.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
 #include <unordered_set>
 
-namespace mrsc::sim {
+namespace mrsc::verify {
 
 MassActionSystem::MassActionSystem(const core::ReactionNetwork& network)
     : species_count_(network.species_count()) {
@@ -146,4 +146,4 @@ void MassActionSystem::apply(std::size_t j, std::span<std::int64_t> n) const {
   }
 }
 
-}  // namespace mrsc::sim
+}  // namespace mrsc::verify

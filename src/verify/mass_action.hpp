@@ -1,9 +1,13 @@
-// Compiled mass-action kinetics.
+// Reference mass-action rate law.
 //
-// `MassActionSystem` flattens a ReactionNetwork into cache-friendly arrays and
-// evaluates the deterministic rate law, its analytic Jacobian, and stochastic
-// propensities. All simulators share this compiled form; rebuilding it is how
-// rate-policy changes (robustness sweeps) take effect.
+// `MassActionSystem` evaluates the deterministic rate law, its analytic
+// Jacobian, stochastic propensities and the next-reaction dependency graph
+// in the plainest form: one vector of (species, coefficient) pairs per
+// reaction and the propensity scale factor k * omega^(1-order) recomputed on
+// every call. The simulators never run it; they run `sim::CompiledSystem`.
+// It is the reference the engine-equivalence oracle
+// (engine_equivalence.hpp) and the engine tests hold the compiled rate law
+// to, evaluation by evaluation and bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +17,7 @@
 #include "core/network.hpp"
 #include "util/matrix.hpp"
 
-namespace mrsc::sim {
+namespace mrsc::verify {
 
 /// One reaction in compiled form.
 struct CompiledReaction {
@@ -92,4 +96,4 @@ class MassActionSystem {
   std::vector<std::vector<std::uint32_t>> reaction_dependents_;
 };
 
-}  // namespace mrsc::sim
+}  // namespace mrsc::verify

@@ -399,8 +399,8 @@ std::vector<Violation> check_case(const GeneratedCase& c,
         break;
     }
     if (options.engine_equivalence) {
-      // Kind-independent: the engines must agree on *any* network, so the
-      // oracle runs on the case's raw reaction system directly.
+      // Kind-independent: the rate law must match its reference on *any*
+      // network, so the oracle runs on the case's raw reaction system.
       EngineEquivalenceOptions eq;
       eq.seed = util::Rng::stream_seed(c.seed, 0xE6);
       const std::vector<Violation> engine_violations =

@@ -1,21 +1,20 @@
-// Differential harness for the compiled simulation engine.
+// Tests of the simulation engine, `CompiledSystem` (src/sim/engine/).
 //
-// The compiled engine (src/sim/engine/) claims *bitwise* identity with the
-// legacy MassActionSystem paths — same trajectories, same event counts, the
-// same bits. This file is the proof obligation behind that claim:
+// The engine claims *bitwise* identity with the plain reference rate law in
+// verify/mass_action.hpp, not closeness: the same bits. Frozen trajectory
+// digests (test_ssa_digest.cpp) pin what the steppers make of it; this file
+// holds the engine itself to the reference:
 //
-//   * every built-in design, every SSA method, every sample: legacy ==
-//     compiled exactly (times, values, events, final counts);
-//   * fixed-step RK4 on every built-in design: exact;
-//   * shared-CompiledSystem ensembles at 1 and 8 workers: bitwise equal to a
-//     legacy serial ensemble, replicate by replicate;
-//   * a 25-seed x 4-kind sweep through the engine_equivalence fuzz oracle
-//     (the same oracle mrsc_verify runs on every generated case);
-//   * dependency-graph properties: the compiled CSR graph equals the legacy
-//     graph, contains an edge j->k exactly when j changes a reactant of k
-//     (or j == k), and has no spurious edges between independent reactions;
-//   * kernel classification and propensity/flux/rhs/jacobian bitwise checks
-//     on handcrafted and fuzz-generated networks;
+//   * the engine_equivalence oracle (every evaluation and structural table
+//     against the reference) on every smoke-catalog design, handcrafted
+//     shapes, and a 25-seed x 4-kind fuzz sweep, the same oracle mrsc_verify
+//     runs on every generated case;
+//   * shared-CompiledSystem ensembles at 1 and 8 workers: bitwise equal to
+//     per-replicate runs that each compile their own system;
+//   * dependency-graph properties: the CSR graph equals the reference graph,
+//     contains an edge j->k exactly when j changes a reactant of k (or
+//     j == k), and has no spurious edges between independent reactions;
+//   * kernel classification;
 //   * the next-reaction stale-propensity and blocked-reaction skips,
 //     regressed against an in-test reference NRM that always recomputes
 //     (identical RNG draw order).
@@ -35,14 +34,11 @@
 #include "scenario/registry.hpp"
 #include "sim/engine/arena.hpp"
 #include "sim/engine/compiled_system.hpp"
-#include "sim/engine/engine.hpp"
-#include "sim/mass_action.hpp"
-#include "sim/ode.hpp"
 #include "sim/ssa.hpp"
-#include "util/matrix.hpp"
 #include "util/rng.hpp"
 #include "verify/engine_equivalence.hpp"
 #include "verify/generator.hpp"
+#include "verify/mass_action.hpp"
 
 namespace mrsc::sim {
 namespace {
@@ -50,6 +46,7 @@ namespace {
 using core::NetworkBuilder;
 using core::ReactionNetwork;
 using core::SpeciesId;
+using verify::MassActionSystem;
 
 const std::vector<std::string> kBuiltinDesigns = {
     "counter", "moving_average", "iir",    "first_difference",
@@ -87,59 +84,8 @@ void expect_ssa_results_bitwise(const SsaResult& a, const SsaResult& b,
 }
 
 // ---------------------------------------------------------------------------
-// Bitwise identity on every built-in design.
-
-TEST(EngineEquivalence, BuiltinDesignsBitwiseSsa) {
-  const std::vector<std::pair<SsaMethod, const char*>> methods = {
-      {SsaMethod::kDirect, "direct"},
-      {SsaMethod::kNextReaction, "nrm"},
-      {SsaMethod::kTauLeaping, "tau"}};
-  for (const std::string& name : kBuiltinDesigns) {
-    const ReactionNetwork network = builtin_network(name);
-    for (const auto& [method, method_name] : methods) {
-      SsaOptions options;
-      options.t_end = 0.5;
-      options.omega = 150.0;
-      options.seed = 7;
-      options.tau = 0.01;
-      options.record_interval = 0.05;
-      options.max_events = 40'000;  // capped runs still compare exactly
-      options.method = method;
-
-      options.engine.kind = EngineKind::kLegacy;
-      const SsaResult legacy = simulate_ssa(network, options);
-      options.engine.kind = EngineKind::kCompiled;
-      const SsaResult compiled = simulate_ssa(network, options);
-      expect_ssa_results_bitwise(legacy, compiled,
-                                 name + "/" + method_name);
-    }
-  }
-}
-
-TEST(EngineEquivalence, BuiltinDesignsBitwiseRk4) {
-  for (const std::string& name : kBuiltinDesigns) {
-    const ReactionNetwork network = builtin_network(name);
-    OdeOptions options;
-    options.method = OdeMethod::kRk4Fixed;
-    options.t_end = 0.5;
-    options.dt = 1e-3;
-    options.record_interval = 0.05;
-
-    options.engine.kind = EngineKind::kLegacy;
-    const OdeResult legacy = simulate_ode(network, options);
-    options.engine.kind = EngineKind::kCompiled;
-    const OdeResult compiled = simulate_ode(network, options);
-
-    EXPECT_EQ(legacy.steps_accepted, compiled.steps_accepted) << name;
-    EXPECT_EQ(legacy.end_time, compiled.end_time) << name;
-    expect_trajectories_bitwise(legacy.trajectory, compiled.trajectory,
-                                name + "/rk4");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Shared CompiledSystem across an ensemble: bitwise independent of both the
-// engine and the worker count.
+// Shared CompiledSystem across an ensemble: bitwise independent of the worker
+// count and equal to runs that compile their own system.
 
 TEST(EngineEquivalence, EnsembleSharedCompiledSystemBitwise) {
   const ReactionNetwork network = builtin_network("counter");
@@ -150,33 +96,33 @@ TEST(EngineEquivalence, EnsembleSharedCompiledSystemBitwise) {
   ssa.record_interval = 0.05;
   ssa.max_events = 40'000;
 
-  auto run = [&](EngineKind kind, std::size_t threads) {
-    SsaOptions options = ssa;
-    options.engine.kind = kind;
+  auto run = [&](std::size_t threads) {
     runtime::EnsembleOptions ensemble;
     ensemble.replicates = 8;
     ensemble.base_seed = 11;
     ensemble.batch.threads = threads;
-    return runtime::run_ssa_ensemble(network, options, ensemble);
+    return runtime::run_ssa_ensemble(network, ssa, ensemble);
   };
 
-  const runtime::EnsembleResult legacy = run(EngineKind::kLegacy, 1);
-  const runtime::EnsembleResult serial = run(EngineKind::kCompiled, 1);
-  const runtime::EnsembleResult parallel = run(EngineKind::kCompiled, 8);
+  const runtime::EnsembleResult serial = run(1);
+  const runtime::EnsembleResult parallel = run(8);
 
-  ASSERT_EQ(legacy.ok, legacy.replicates.size());
-  for (const runtime::EnsembleResult* other : {&serial, &parallel}) {
-    ASSERT_EQ(other->replicates.size(), legacy.replicates.size());
-    for (std::size_t i = 0; i < legacy.replicates.size(); ++i) {
-      const runtime::JobResult& ref = legacy.replicates[i];
-      const runtime::JobResult& got = other->replicates[i];
-      EXPECT_EQ(got.status, ref.status) << "replicate " << i;
-      EXPECT_EQ(got.seed, ref.seed) << "replicate " << i;
-      EXPECT_EQ(got.ssa_events, ref.ssa_events) << "replicate " << i;
-      EXPECT_EQ(got.end_time, ref.end_time) << "replicate " << i;
-      ASSERT_EQ(got.final_state.size(), ref.final_state.size());
-      for (std::size_t s = 0; s < ref.final_state.size(); ++s) {
-        EXPECT_EQ(got.final_state[s], ref.final_state[s])
+  ASSERT_EQ(serial.ok, serial.replicates.size());
+  ASSERT_EQ(parallel.replicates.size(), serial.replicates.size());
+  for (std::size_t i = 0; i < serial.replicates.size(); ++i) {
+    SsaOptions options = ssa;
+    options.seed = serial.replicates[i].seed;
+    const SsaResult alone = simulate_ssa(network, options);
+    for (const runtime::EnsembleResult* ensemble : {&serial, &parallel}) {
+      const runtime::JobResult& got = ensemble->replicates[i];
+      EXPECT_EQ(got.status, runtime::JobStatus::kOk) << "replicate " << i;
+      EXPECT_EQ(got.seed, options.seed) << "replicate " << i;
+      EXPECT_EQ(got.ssa_events, alone.events) << "replicate " << i;
+      EXPECT_EQ(got.end_time, alone.end_time) << "replicate " << i;
+      ASSERT_EQ(got.final_state.size(), alone.final_counts.size());
+      for (std::size_t s = 0; s < alone.final_counts.size(); ++s) {
+        EXPECT_EQ(got.final_state[s],
+                  static_cast<double>(alone.final_counts[s]) / ssa.omega)
             << "replicate " << i << " species " << s;
       }
     }
@@ -184,6 +130,47 @@ TEST(EngineEquivalence, EnsembleSharedCompiledSystemBitwise) {
 }
 
 // ---------------------------------------------------------------------------
+// The engine-equivalence oracle: every evaluation against the reference.
+
+void expect_matches_reference(const ReactionNetwork& network,
+                              std::uint64_t seed, const std::string& context) {
+  verify::EngineEquivalenceOptions eq;
+  eq.seed = seed;
+  for (const verify::Violation& v :
+       verify::check_engine_equivalence(network, eq)) {
+    ADD_FAILURE() << context << ": [" << v.oracle << "] " << v.detail;
+  }
+}
+
+TEST(EngineEquivalence, SmokeCatalogMatchesReference) {
+  const std::vector<std::string> catalog =
+      scenario::ScenarioRegistry::global().smoke_catalog();
+  ASSERT_FALSE(catalog.empty());
+  for (const std::string& spec : catalog) {
+    expect_matches_reference(builtin_network(spec), 1, spec);
+  }
+}
+
+TEST(EngineEquivalence, HandcraftedShapesMatchReference) {
+  ReactionNetwork net;
+  NetworkBuilder b(net);
+  b.reaction("A -> B", 0.7);
+  b.reaction("2 A -> B", 1.3);
+  b.reaction("A + B -> C", 2.1);
+  b.reaction("0 -> A", 0.4);
+  b.reaction("C + A -> C + B", 5.0);
+  const SpeciesId a = *net.find_species("A");
+  const SpeciesId bb = *net.find_species("B");
+  const SpeciesId cc = *net.find_species("C");
+  net.add({{a, 1}, {bb, 2}}, {{cc, 1}}, core::RateCategory::kCustom, 0.9);
+  // Duplicate reactant terms ("A + A") and a product that cancels a
+  // reactant: the merge and the netting, not just the kernels.
+  net.add({{a, 1}, {a, 1}, {bb, 1}}, {{bb, 1}, {cc, 2}},
+          core::RateCategory::kCustom, 0.6);
+  net.set_initial(a, 2.0);
+  expect_matches_reference(net, 3, "handcrafted");
+}
+
 // The fuzz oracle, swept the way mrsc_verify sweeps it.
 
 TEST(EngineEquivalence, FuzzSweepAllKinds) {
@@ -194,9 +181,6 @@ TEST(EngineEquivalence, FuzzSweepAllKinds) {
     for (const verify::CaseKind kind : kinds) {
       const verify::GeneratedCase c = verify::generate_case(kind, seed);
       verify::EngineEquivalenceOptions eq;
-      eq.t_end = 1.0;
-      eq.omega = 150.0;
-      eq.max_events = 60'000;
       eq.seed = util::Rng::stream_seed(seed, 0xE6);
       const std::vector<verify::Violation> violations =
           verify::check_engine_equivalence(c.network(), eq);
@@ -227,13 +211,13 @@ bool naive_edge(const CompiledSystem& sys, std::size_t j, std::size_t k) {
 
 void expect_dependency_graph_sound(const ReactionNetwork& network,
                                    const std::string& context) {
-  const MassActionSystem legacy(network);
-  const CompiledSystem compiled(legacy);
-  ASSERT_EQ(compiled.reaction_count(), legacy.reaction_count()) << context;
+  const MassActionSystem reference(network);
+  const CompiledSystem compiled(network);
+  ASSERT_EQ(compiled.reaction_count(), reference.reaction_count()) << context;
   for (std::size_t j = 0; j < compiled.reaction_count(); ++j) {
-    // CSR graph == legacy graph, element for element.
+    // CSR graph == reference graph, element for element.
     const auto span = compiled.affected_reactions(j);
-    const std::vector<std::uint32_t>& ref = legacy.affected_reactions(j);
+    const std::vector<std::uint32_t>& ref = reference.affected_reactions(j);
     ASSERT_EQ(std::vector<std::uint32_t>(span.begin(), span.end()), ref)
         << context << " reaction " << j;
     // Edge set == the naive predicate: every reaction changing a reactant of
@@ -245,20 +229,20 @@ void expect_dependency_graph_sound(const ReactionNetwork& network,
       EXPECT_EQ(listed, naive_edge(compiled, j, k))
           << context << " edge " << j << " -> " << k;
     }
-    // The legacy and compiled pure-catalysis flags agree too.
+    // The pure-catalysis flags agree too.
     EXPECT_EQ(compiled.affects_own_reactants(j),
-              legacy.affects_own_reactants(j))
+              reference.affects_own_reactants(j))
         << context << " reaction " << j;
   }
 }
 
-TEST(DependencyGraph, MatchesLegacyAndNaivePredicateOnBuiltins) {
+TEST(DependencyGraph, MatchesReferenceAndNaivePredicateOnBuiltins) {
   for (const std::string& name : kBuiltinDesigns) {
     expect_dependency_graph_sound(builtin_network(name), name);
   }
 }
 
-TEST(DependencyGraph, MatchesLegacyAndNaivePredicateOnFuzzedNetworks) {
+TEST(DependencyGraph, MatchesReferenceAndNaivePredicateOnFuzzedNetworks) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const verify::GeneratedCase c =
         verify::generate_case(verify::CaseKind::kRawNetwork, seed);
@@ -327,111 +311,6 @@ TEST(CompiledSystem, KernelClassification) {
   EXPECT_EQ(sys.order(0), 1u);
   EXPECT_EQ(sys.order(1), 2u);
   EXPECT_EQ(sys.order(5), 3u);
-}
-
-void expect_pointwise_bitwise(const ReactionNetwork& network,
-                              std::uint64_t seed,
-                              const std::string& context) {
-  const MassActionSystem legacy(network);
-  const CompiledSystem compiled(legacy);
-  const std::size_t ns = legacy.species_count();
-  const std::size_t m = legacy.reaction_count();
-  util::Rng rng(seed);
-
-  for (int trial = 0; trial < 5; ++trial) {
-    // Random concentrations, including exact zeros (the early-out paths).
-    std::vector<double> x(ns);
-    for (double& v : x) {
-      v = rng.uniform() < 0.25 ? 0.0 : rng.uniform(0.0, 3.0);
-    }
-    for (std::size_t j = 0; j < m; ++j) {
-      EXPECT_EQ(compiled.flux(j, x), legacy.flux(j, x))
-          << context << " flux reaction " << j;
-    }
-    std::vector<double> dxdt_legacy(ns), dxdt_compiled(ns);
-    legacy.rhs(x, dxdt_legacy);
-    compiled.rhs(x, dxdt_compiled);
-    for (std::size_t i = 0; i < ns; ++i) {
-      EXPECT_EQ(dxdt_compiled[i], dxdt_legacy[i])
-          << context << " rhs species " << i;
-    }
-    util::Matrix jac_legacy, jac_compiled;
-    legacy.jacobian(x, jac_legacy);
-    compiled.jacobian(x, jac_compiled);
-    ASSERT_EQ(jac_compiled.rows(), jac_legacy.rows());
-    ASSERT_EQ(jac_compiled.cols(), jac_legacy.cols());
-    for (std::size_t r = 0; r < jac_legacy.rows(); ++r) {
-      for (std::size_t c = 0; c < jac_legacy.cols(); ++c) {
-        EXPECT_EQ(jac_compiled(r, c), jac_legacy(r, c))
-            << context << " jacobian (" << r << ", " << c << ")";
-      }
-    }
-
-    // Random counts, including 0 and 1 (the dimer/bimolecular early-outs).
-    std::vector<std::int64_t> n(ns);
-    for (std::int64_t& v : n) {
-      v = static_cast<std::int64_t>(rng.uniform_below(50));
-      if (rng.uniform() < 0.3) v = static_cast<std::int64_t>(
-          rng.uniform_below(2));
-    }
-    for (const double omega : {1.0, 200.0, 1e4}) {
-      std::vector<double> scaled(m);
-      compiled.scaled_rates(omega, scaled);
-      for (std::size_t j = 0; j < m; ++j) {
-        const double ref = legacy.propensity(j, n, omega);
-        EXPECT_EQ(compiled.propensity(j, n, omega), ref)
-            << context << " propensity reaction " << j << " omega " << omega;
-        EXPECT_EQ(compiled.propensity_scaled(j, n, scaled[j]), ref)
-            << context << " propensity_scaled reaction " << j << " omega "
-            << omega;
-      }
-    }
-
-    // apply() must produce the same counts through either table.
-    for (std::size_t j = 0; j < m; ++j) {
-      std::vector<std::int64_t> na = n, nb = n;
-      legacy.apply(j, na);
-      compiled.apply(j, nb);
-      EXPECT_EQ(na, nb) << context << " apply reaction " << j;
-    }
-  }
-}
-
-TEST(CompiledSystem, PointwiseBitwiseOnHandcraftedShapes) {
-  ReactionNetwork net;
-  NetworkBuilder b(net);
-  b.reaction("A -> B", 0.7);
-  b.reaction("2 A -> B", 1.3);
-  b.reaction("A + B -> C", 2.1);
-  b.reaction("0 -> A", 0.4);
-  b.reaction("C + A -> C + B", 5.0);
-  const SpeciesId a = *net.find_species("A");
-  const SpeciesId bb = *net.find_species("B");
-  const SpeciesId cc = *net.find_species("C");
-  net.add({{a, 1}, {bb, 2}}, {{cc, 1}}, core::RateCategory::kCustom, 0.9);
-  expect_pointwise_bitwise(net, 3, "handcrafted");
-}
-
-TEST(CompiledSystem, PointwiseBitwiseOnFuzzedNetworks) {
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    const verify::GeneratedCase c =
-        verify::generate_case(verify::CaseKind::kRawNetwork, seed);
-    expect_pointwise_bitwise(c.network(), seed,
-                             "raw seed " + std::to_string(seed));
-  }
-}
-
-TEST(CompiledSystem, BothConstructorsAgree) {
-  const ReactionNetwork network = builtin_network("moving_average");
-  const MassActionSystem legacy(network);
-  const CompiledSystem from_network{network};
-  const CompiledSystem from_system{legacy};
-  ASSERT_EQ(from_network.reaction_count(), from_system.reaction_count());
-  for (std::size_t j = 0; j < from_network.reaction_count(); ++j) {
-    EXPECT_EQ(from_network.rate(j), from_system.rate(j));
-    EXPECT_EQ(from_network.order(j), from_system.order(j));
-    EXPECT_EQ(from_network.kernel(j), from_system.kernel(j));
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -599,28 +478,21 @@ TEST(NextReactionStaleSkip, MatchesAlwaysRecomputeReference) {
   options.record_interval = 0.1;
   options.max_events = 200'000;
 
-  const MassActionSystem legacy(net);
+  const MassActionSystem reference_system(net);
   // The fixture must actually exercise the skip: the catalytic reactions
   // carry affects_own_reactants == false.
-  ASSERT_FALSE(legacy.affects_own_reactants(0));
-  ASSERT_FALSE(legacy.affects_own_reactants(1));
-  ASSERT_TRUE(legacy.affects_own_reactants(2));
+  ASSERT_FALSE(reference_system.affects_own_reactants(0));
+  ASSERT_FALSE(reference_system.affects_own_reactants(1));
+  ASSERT_TRUE(reference_system.affects_own_reactants(2));
 
   for (const std::uint64_t seed : {1ull, 9ull, 42ull}) {
     options.seed = seed;
     const SsaResult reference = reference_nrm_always_recompute(
-        legacy, options, to_counts(net.initial_state(), options.omega));
+        reference_system, options,
+        to_counts(net.initial_state(), options.omega));
     ASSERT_GT(reference.events, 100u) << "fixture too quiet to regress";
-
-    options.engine.kind = EngineKind::kLegacy;
-    const SsaResult legacy_run = simulate_ssa(net, options);
-    options.engine.kind = EngineKind::kCompiled;
-    const SsaResult compiled_run = simulate_ssa(net, options);
-
-    expect_ssa_results_bitwise(reference, legacy_run,
-                               "seed " + std::to_string(seed) + " legacy");
-    expect_ssa_results_bitwise(reference, compiled_run,
-                               "seed " + std::to_string(seed) + " compiled");
+    expect_ssa_results_bitwise(reference, simulate_ssa(net, options),
+                               "seed " + std::to_string(seed));
   }
 }
 
@@ -649,18 +521,19 @@ TEST(NextReactionStaleSkip, BlockedSkipMatchesReferenceAcrossThresholds) {
   options.record_interval = 0.5;
   options.max_events = 200'000;
 
-  const MassActionSystem legacy(net);
-  ASSERT_EQ(CompiledSystem(legacy).kernel(0), ReactionKernel::kGeneric);
-  ASSERT_EQ(CompiledSystem(legacy).kernel(2), ReactionKernel::kDimer);
-  ASSERT_FALSE(legacy.affects_own_reactants(6));
+  const MassActionSystem reference_system(net);
+  const CompiledSystem compiled(net);
+  ASSERT_EQ(compiled.kernel(0), ReactionKernel::kGeneric);
+  ASSERT_EQ(compiled.kernel(2), ReactionKernel::kDimer);
+  ASSERT_FALSE(compiled.affects_own_reactants(6));
 
   for (const std::uint64_t seed : {1ull, 9ull, 42ull, 77ull}) {
     const std::string context = "seed " + std::to_string(seed);
     options.seed = seed;
     BlockedStats stats;
     const SsaResult reference = reference_nrm_always_recompute(
-        legacy, options, to_counts(net.initial_state(), options.omega),
-        &stats);
+        reference_system, options,
+        to_counts(net.initial_state(), options.omega), &stats);
     ASSERT_GT(reference.events, 500u) << context;
 
     // The fixture must exercise what it is for: skippable updates, every
@@ -677,12 +550,8 @@ TEST(NextReactionStaleSkip, BlockedSkipMatchesReferenceAcrossThresholds) {
       EXPECT_GT(stats.firings[j], 0u) << context << " reaction " << j;
     }
 
-    options.engine.kind = EngineKind::kLegacy;
     expect_ssa_results_bitwise(reference, simulate_ssa(net, options),
-                               context + " legacy");
-    options.engine.kind = EngineKind::kCompiled;
-    expect_ssa_results_bitwise(reference, simulate_ssa(net, options),
-                               context + " compiled");
+                               context);
   }
 }
 
@@ -693,20 +562,21 @@ TEST(CompiledSystem, ReaderTableTransposesReactants) {
   b.reaction("2 C -> D", 1.0);
   b.reaction("A -> E", 1.0);
   b.reaction("0 -> A", 1.0);
-  const MassActionSystem legacy(net);
-  const CompiledSystem sys(legacy);
+  const MassActionSystem reference(net);
+  const CompiledSystem sys(net);
   for (std::size_t i = 0; i < sys.species_count(); ++i) {
     const auto readers = sys.dependents_of_species(i);
     const auto stoich = sys.reader_stoich(i);
     ASSERT_EQ(readers.size(), stoich.size());
-    const std::vector<std::uint32_t> expected = legacy.dependents_of_species(i);
+    const std::vector<std::uint32_t> expected =
+        reference.dependents_of_species(i);
     EXPECT_EQ(std::vector<std::uint32_t>(readers.begin(), readers.end()),
               expected);
     std::uint32_t max_stoich = 0;
     for (std::size_t k = 0; k < readers.size(); ++k) {
       std::uint32_t want = 0;
       for (const auto& [idx, st] :
-           legacy.compiled_reaction(readers[k]).reactants) {
+           reference.compiled_reaction(readers[k]).reactants) {
         if (idx == i) want = st;
       }
       EXPECT_EQ(stoich[k], want) << "species " << i << " reader " << k;

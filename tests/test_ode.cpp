@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <string>
 #include <variant>
 #include <vector>
@@ -399,29 +398,6 @@ TEST_P(BackwardEulerOracle, MatchesFullNewtonReference) {
 INSTANTIATE_TEST_SUITE_P(Designs, BackwardEulerOracle,
                          ::testing::Values("counter(4)", "cascade(3)",
                                            "delay_chain(4)"));
-
-TEST(BackwardEuler, EnginesAgreeBitwise) {
-  // The cached factorisation is state the stepper carries across steps;
-  // both engines must still drive it through identical bits.
-  const scenario::ResolvedScenario resolved =
-      scenario::ScenarioRegistry::global().resolve("counter(4)");
-  OdeOptions options = backward_euler_options(0.01, 20.0);
-  options.engine.kind = EngineKind::kCompiled;
-  const OdeResult compiled = simulate_ode(*resolved.design.network, options);
-  options.engine.kind = EngineKind::kLegacy;
-  const OdeResult legacy = simulate_ode(*resolved.design.network, options);
-
-  EXPECT_EQ(compiled.newton_iterations, legacy.newton_iterations);
-  EXPECT_EQ(compiled.jacobian_evaluations, legacy.jacobian_evaluations);
-  ASSERT_EQ(compiled.trajectory.sample_count(),
-            legacy.trajectory.sample_count());
-  for (std::size_t k = 0; k < compiled.trajectory.sample_count(); ++k) {
-    const std::span<const double> a = compiled.trajectory.state(k);
-    const std::span<const double> b = legacy.trajectory.state(k);
-    ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0)
-        << "sample " << k;
-  }
-}
 
 analysis::CounterRunResult run_registry_counter(const std::string& spec,
                                                 OdeMethod method,

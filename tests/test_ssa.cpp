@@ -183,7 +183,7 @@ TEST(Ssa, InvalidOptionsThrow) {
 
 TEST(Ssa, CountSizeMismatchThrows) {
   const ReactionNetwork net = decay_network(1.0);
-  const MassActionSystem system(net);
+  const CompiledSystem system(net);
   SsaOptions options;
   EXPECT_THROW(
       (void)simulate_ssa(system, options, std::vector<std::int64_t>{1}),
@@ -206,20 +206,17 @@ TEST(Ssa, AbortPollLandsOnExactEventCounts) {
   // stride of 0 polls like a stride of 1.
   for (const SsaMethod method :
        {SsaMethod::kDirect, SsaMethod::kNextReaction}) {
-    for (const EngineKind kind : {EngineKind::kLegacy, EngineKind::kCompiled}) {
-      for (const std::uint64_t stride : {0ull, 1ull, 7ull, 1024ull}) {
-        for (const std::uint64_t k : {1ull, 2ull, 5ull}) {
-          std::uint64_t calls = 0;
-          options.method = method;
-          options.engine.kind = kind;
-          options.abort_check_events = stride;
-          options.abort = [&calls, k] { return ++calls == k; };
-          const SsaResult result = simulate_ssa(net, options);
-          EXPECT_TRUE(result.aborted);
-          EXPECT_EQ(calls, k);
-          EXPECT_EQ(result.events, (k - 1) * std::max<std::uint64_t>(stride, 1))
-              << "stride " << stride << " k " << k;
-        }
+    for (const std::uint64_t stride : {0ull, 1ull, 7ull, 1024ull}) {
+      for (const std::uint64_t k : {1ull, 2ull, 5ull}) {
+        std::uint64_t calls = 0;
+        options.method = method;
+        options.abort_check_events = stride;
+        options.abort = [&calls, k] { return ++calls == k; };
+        const SsaResult result = simulate_ssa(net, options);
+        EXPECT_TRUE(result.aborted);
+        EXPECT_EQ(calls, k);
+        EXPECT_EQ(result.events, (k - 1) * std::max<std::uint64_t>(stride, 1))
+            << "stride " << stride << " k " << k;
       }
     }
   }

@@ -251,15 +251,13 @@ OdeOptions ode_options(OdeMethod method) {
 /// never fires, polled on an odd stride, must not move a bit (the ensemble
 /// runner always installs one).
 std::uint64_t run_digest(const core::ReactionNetwork& network, Method method,
-                         EngineKind engine, bool abort_hook) {
+                         bool abort_hook) {
   if (const auto* ode = std::get_if<OdeMethod>(&method)) {
     OdeOptions options = ode_options(*ode);
-    options.engine.kind = engine;
     if (abort_hook) options.abort = [] { return false; };
     return digest(simulate_ode(network, options));
   }
   SsaOptions options = ssa_options(std::get<SsaMethod>(method));
-  options.engine.kind = engine;
   if (abort_hook) {
     options.abort = [] { return false; };
     options.abort_check_events = 3;
@@ -273,12 +271,8 @@ TEST(SsaDigest, RawTrajectoriesMatchFrozenDigests) {
                                 (c.drive[0] ? std::string("+") + c.drive : "") +
                                 "/" + method_name(c.method);
     const core::ReactionNetwork network = network_for(c);
-    for (const EngineKind kind : {EngineKind::kLegacy, EngineKind::kCompiled}) {
-      EXPECT_EQ(run_digest(network, c.method, kind, false), c.expected)
-          << context << (kind == EngineKind::kLegacy ? " legacy" : " compiled");
-    }
-    EXPECT_EQ(run_digest(network, c.method, EngineKind::kCompiled, true),
-              c.expected)
+    EXPECT_EQ(run_digest(network, c.method, false), c.expected) << context;
+    EXPECT_EQ(run_digest(network, c.method, true), c.expected)
         << context << " with abort hook";
   }
 }
