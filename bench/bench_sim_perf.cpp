@@ -1,9 +1,10 @@
 // Experiment T4: substrate performance (google-benchmark).
 //
 // Throughput of the simulation substrate as a function of network size: RHS
-// evaluation, Jacobian assembly, adaptive ODE steps, SSA event processing,
-// and whole-design runs. This is the "simulator scaling" table that stands
-// in for the authors' testbed characterization.
+// evaluation, Jacobian assembly, the backward-Euler Newton factorization
+// and solve, adaptive ODE steps, SSA event processing, and whole-design
+// runs. This is the "simulator scaling" table that stands in for the
+// authors' testbed characterization.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "core/network.hpp"
 #include "dsp/filters.hpp"
 #include "runtime/ensemble.hpp"
+#include "scenario/registry.hpp"
 #include "sim/engine/compiled_system.hpp"
 #include "sim/ode.hpp"
 #include "sim/ssa.hpp"
@@ -67,6 +70,65 @@ void BM_JacobianAssembly(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JacobianAssembly)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+// The Newton matrix I - 0.01 J the be stepper factorizes, for counter(6)
+// (arg 0) or delay_chain(16) (arg 1), with J at the state a 10-time-unit be
+// run reaches from the design's initial state. Also returns dx/dt there as
+// a right-hand side.
+struct NewtonSystem {
+  std::string spec;
+  util::Matrix matrix;
+  std::vector<double> rhs;
+};
+
+NewtonSystem newton_system(std::int64_t arg) {
+  NewtonSystem out;
+  out.spec = arg == 0 ? "counter(6)" : "delay_chain(16)";
+  const scenario::ResolvedScenario resolved =
+      scenario::ScenarioRegistry::global().resolve(out.spec);
+  const sim::CompiledSystem system(*resolved.design.network);
+  sim::OdeOptions options;
+  options.method = sim::OdeMethod::kBackwardEuler;
+  options.dt = 0.01;
+  options.t_end = 10.0;
+  const sim::OdeResult run = sim::simulate_ode(
+      system, options, resolved.design.network->initial_state());
+  const std::span<const double> x = run.trajectory.final_state();
+  const std::size_t n = system.species_count();
+  util::Matrix jac(n, n);
+  system.jacobian(x, jac);
+  out.matrix = util::Matrix(n, n);
+  out.matrix.set_identity();
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) out.matrix(r, c) -= 0.01 * jac(r, c);
+  }
+  out.rhs.resize(n);
+  system.rhs(x, out.rhs);
+  return out;
+}
+
+void BM_NewtonFactor(benchmark::State& state) {
+  const NewtonSystem newton = newton_system(state.range(0));
+  for (auto _ : state) {
+    const util::LuFactorization lu(newton.matrix);
+    benchmark::DoNotOptimize(lu.dimension());
+  }
+  state.SetLabel(newton.spec);
+}
+BENCHMARK(BM_NewtonFactor)->Arg(0)->Arg(1);
+
+void BM_NewtonSolve(benchmark::State& state) {
+  const NewtonSystem newton = newton_system(state.range(0));
+  const util::LuFactorization lu(newton.matrix);
+  std::vector<double> b(newton.rhs.size());
+  for (auto _ : state) {
+    std::ranges::copy(newton.rhs, b.begin());
+    lu.solve_in_place(b);
+    benchmark::DoNotOptimize(b.data());
+  }
+  state.SetLabel(newton.spec);
+}
+BENCHMARK(BM_NewtonSolve)->Arg(0)->Arg(1);
 
 void BM_AdaptiveOdeRun(benchmark::State& state) {
   const core::ReactionNetwork net =

@@ -334,7 +334,13 @@ OdeResult run_backward_euler(const CompiledSystem& system,
             newton_matrix(r, c) -= h * jac(r, c);
           }
         }
-        lu.emplace(newton_matrix);
+        try {
+          lu.emplace(newton_matrix);
+        } catch (const std::runtime_error&) {
+          // I - hJ is singular: this pass fails. A throwing emplace leaves
+          // `lu` disengaged, so no later step chords on a stale factor.
+          break;
+        }
         lu_h = h;
         newton_update();
       }

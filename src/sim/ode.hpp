@@ -79,10 +79,10 @@ struct OdeResult {
   // kBackwardEuler only; zero for the other methods.
   /// Residual evaluations over both Newton passes.
   std::size_t newton_iterations = 0;
-  /// Jacobians evaluated, one per LU factorization.
+  /// Jacobians evaluated, one per LU factorization attempted.
   std::size_t jacobian_evaluations = 0;
-  /// Steps where neither pass converged and an explicit Euler step was
-  /// taken instead.
+  /// Steps where neither pass converged (a singular I - hJ fails its
+  /// pass) and an explicit Euler step was taken instead.
   std::size_t newton_fallbacks = 0;
   bool stopped_by_observer = false;
   bool hit_step_limit = false;

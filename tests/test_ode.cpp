@@ -445,6 +445,27 @@ TEST(BackwardEuler, CountsExplicitEulerFallbacks) {
   EXPECT_GT(result.jacobian_evaluations, 0u);
 }
 
+TEST(BackwardEuler, SingularNewtonMatrixFallsBackToExplicitEuler) {
+  // X -> 2 X at k = 1 and h = 1: J = 1, so I - hJ = 0 has no LU. Each step
+  // is a failed Newton pass and one explicit Euler step, X += h X.
+  ReactionNetwork net;
+  NetworkBuilder b(net);
+  const SpeciesId x = b.species("X", 1.0);
+  b.reaction("X -> 2 X", 1.0);
+  const OdeResult result =
+      simulate_ode(net, backward_euler_options(1.0, 3.0));
+
+  EXPECT_EQ(result.steps_accepted, 3u);
+  EXPECT_EQ(result.newton_fallbacks, 3u);
+  EXPECT_EQ(result.jacobian_evaluations, 3u);
+  ASSERT_EQ(result.trajectory.sample_count(), 4u);
+  for (std::size_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(result.trajectory.time(k), static_cast<double>(k));
+    EXPECT_EQ(result.trajectory.value(k, x),
+              std::ldexp(1.0, static_cast<int>(k)));
+  }
+}
+
 TEST(BackwardEuler, ReusesItsFactorisationAcrossSteps) {
   const auto run =
       run_registry_counter("counter(6)", OdeMethod::kBackwardEuler, 4);
